@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race race-short vet lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden bench bench-smoke bench-json bench-gate fuzz-smoke fuzz cover clean ci
+.PHONY: all build test short race race-short vet lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden bench bench-smoke fuzz-smoke fuzz cover clean ci
 
 all: build lint test
 
@@ -19,30 +19,6 @@ test: lint race-short bench-smoke
 bench-smoke:
 	$(GO) test -run 'TestEngineDispatchZeroAlloc' -count=1 ./internal/sim/
 	$(GO) test -run '^$$' -bench 'EngineDispatchTyped|PortPingPong' -benchtime 100x -benchmem ./internal/sim/ ./internal/fabric/
-
-# Regenerate the committed perf trajectory: run the tracked benchmarks and
-# join them against the PR-9 record (BENCH_PR9.json, the flat-table data
-# plane) into BENCH_PR10.json. Figures run at 3 iterations to match how the
-# baseline was captured; the telemetry sampler micro-benchmark is new in
-# PR 10 and appears without a "before". Telemetry stays disabled in every
-# figure benchmark, so the record doubles as the disabled-telemetry parity
-# proof against PR 9. See TESTING.md's Performance section.
-bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkEngineScheduleRun|BenchmarkEngineDispatchTyped|BenchmarkEngineScheduleCancel|BenchmarkEngineBucketRollover' -benchmem ./internal/sim/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFlatmapGet|BenchmarkFlatmapPutDelete|BenchmarkFlatmapStamps' -benchmem ./internal/flatmap/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkSamplerTick' -benchmem ./internal/telemetry/ ; \
-	  $(GO) test -run '^$$' -bench 'Fig3MotivationPFC|Fig6FCTCDFSymmetric|Fig8aIncastDegree|ScaleFabric' -benchmem -benchtime 3x . ; } \
-	| $(GO) run ./cmd/benchjson -baseline BENCH_PR9.json \
-		-note "after: receiver dup-accounting fixes + observation-only telemetry layer (disabled in figure benches)" -out BENCH_PR10.json
-	@cat BENCH_PR10.json
-
-# Perf regression gate: rerun the figure and scale benchmarks and compare
-# events/sec against the committed BENCH_PR10.json with a ±10% tolerance.
-# Wall-clock sensitive; scripts/ci.sh runs it by default (RLB_BENCH_GATE=0
-# opts out on noisy or mismatched machines).
-bench-gate:
-	$(GO) test -run '^$$' -bench 'Fig3MotivationPFC|Fig6FCTCDFSymmetric|Fig8aIncastDegree|ScaleFabric' -benchmem -benchtime 3x . \
-	| $(GO) run ./cmd/benchjson -gate BENCH_PR10.json -tolerance 10
 
 # Telemetry tier (TESTING.md "Telemetry tier"): the observation-only
 # contract in one command — determinism fingerprints bit-identical with

@@ -22,105 +22,67 @@ func logTable(b *testing.B, i int, tables ...*harness.Table) {
 	}
 }
 
-// reportEvents attaches simulator throughput (engine events dispatched per
-// wall-clock second) to a figure benchmark. Call as
-// `defer reportEvents(b, harness.TotalEvents())` before the loop.
-func reportEvents(b *testing.B, start uint64) {
-	if s := b.Elapsed().Seconds(); s > 0 {
-		b.ReportMetric(float64(harness.TotalEvents()-start)/s, "events/sec")
-	}
-}
-
 func BenchmarkFig3MotivationPFC(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig3(harness.BenchScale, benchSeed))
 	}
 }
 
 func BenchmarkFig4aAffectedPaths(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig4Paths(harness.BenchScale, benchSeed))
 	}
 }
 
 func BenchmarkFig4bContinuousBursts(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig4Bursts(harness.BenchScale, benchSeed))
 	}
 }
 
 func BenchmarkFig6FCTCDFSymmetric(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig6(harness.BenchScale, benchSeed))
 	}
 }
 
 func BenchmarkFig7AsymmetricLoadSweep(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig7(harness.BenchScale, benchSeed)...)
 	}
 }
 
 func BenchmarkFig8aIncastDegree(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig8Degree(harness.BenchScale, benchSeed))
 	}
 }
 
 func BenchmarkFig8bIncastResponseSize(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig8Size(harness.BenchScale, benchSeed))
 	}
 }
 
 func BenchmarkFig9RecirculationAblation(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig9(harness.BenchScale, benchSeed)...)
 	}
 }
 
 func BenchmarkFig10aQthSensitivity(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig10Qth(harness.BenchScale, benchSeed))
 	}
 }
 
 func BenchmarkFig10bDeltaTSensitivity(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.Fig10DeltaT(harness.BenchScale, benchSeed))
 	}
 }
 
-// The Scale* benchmarks are the large-topology tier: one 8×8/8-fabric
-// simulation per iteration at harness.ScaleTier, an order of magnitude more
-// hosts and links than BenchScale. They measure raw engine throughput where
-// scheduler cost dominates; BENCH_PR4.json tracks their events/sec.
-func BenchmarkScaleFabricDrillRLB(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
-	for i := 0; i < b.N; i++ {
-		harness.ScaleThroughput(harness.ScaleTier, "drill+rlb", benchSeed)
-	}
-}
-
-func BenchmarkScaleFabricECMP(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
-	for i := 0; i < b.N; i++ {
-		harness.ScaleThroughput(harness.ScaleTier, "ecmp", benchSeed)
-	}
-}
-
 func BenchmarkExtIRNComparison(b *testing.B) {
-	defer reportEvents(b, harness.TotalEvents())
 	for i := 0; i < b.N; i++ {
 		logTable(b, i, harness.ExtIRN(harness.BenchScale, benchSeed))
 	}

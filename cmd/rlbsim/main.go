@@ -297,7 +297,7 @@ func main() {
 	} else if s.Strict {
 		fmt.Printf("invariants: ok (%d checks, strict)\n", res.InvariantChecks)
 	}
-	fmt.Printf("rlb:        %d warnings accepted, %d recirculations\n", res.Warnings, res.Recircs)
+	fmt.Printf("rlb:        %d warnings accepted, %d recirculations\n", res.Agents.WarningsRcvd, res.Recircs)
 	if res.Agents.PicksTotal > 0 {
 		a := res.Agents
 		fmt.Printf("rlb picks:  %d total, %d warned, %d reroutes, %d recircs (+%d order, %d sticky), %d orderstay, %d staycheap, %d fallback\n",

@@ -21,6 +21,14 @@ func TestDeterminismHarnessExemption(t *testing.T) {
 	analysistest.Run(t, src, "detfix.example/internal/harness", analysis.Determinism)
 }
 
+// TestDeterminismScenarioNotExempt pins the exemption to internal/harness:
+// the scenario fuzzer fans out through harness.Parallel, so a go statement of
+// its own is a finding.
+func TestDeterminismScenarioNotExempt(t *testing.T) {
+	src := analysistest.Fixture(".")
+	analysistest.Run(t, src, "detfix.example/internal/scenario", analysis.Determinism)
+}
+
 func TestPoolcheckFixture(t *testing.T) {
 	src := analysistest.Fixture(".")
 	analysistest.Run(t, src, "poolfix.example/internal/switchsim", analysis.Poolcheck)

@@ -16,13 +16,13 @@ var simPackages = []string{
 	"internal/flatmap", "internal/telemetry",
 }
 
-// concurrencyAllowed are packages exempt from the goroutine/select rule:
-// internal/harness fans independent simulations out to worker goroutines,
-// and internal/scenario fans independent scenario checks out the same way.
+// concurrencyAllowed are packages exempt from the goroutine/select rule.
+// Only internal/harness qualifies: harness.Parallel is the one worker pool,
+// and every other package (internal/scenario included) fans out through it.
 // Each worker owns a disjoint engine, RNG stream, and network, so worker
 // scheduling cannot reach any single simulation's event order (the
-// worker-isolation contract documented at the `go func` sites in both).
-var concurrencyAllowed = []string{"internal/harness", "internal/scenario"}
+// worker-isolation contract documented at harness.Parallel).
+var concurrencyAllowed = []string{"internal/harness"}
 
 // wallClockFuncs are time-package functions that read or depend on the wall
 // clock. Simulations must use sim.Time from the engine instead.

@@ -316,11 +316,10 @@ func compileMotivation(s spec.Spec) (RunConfig, error) {
 	if m.SprayPaths < 1 {
 		return RunConfig{}, fmt.Errorf("motiv sprayPaths %d: need >= 1", m.SprayPaths)
 	}
-	ms, err := toMotivationSpec(s)
+	cfg, err := motivationConfig(s)
 	if err != nil {
 		return RunConfig{}, err
 	}
-	cfg, _ := motivationConfig(ms)
 	if s.Scheduler != "" {
 		kind, _ := sim.SchedulerByName(s.Scheduler) // validated above
 		cfg.Topo.Scheduler = kind
@@ -328,28 +327,6 @@ func compileMotivation(s spec.Spec) (RunConfig, error) {
 	cfg.Context = s.Params()
 	cfg.Telemetry = specTelemetry(s)
 	return cfg, nil
-}
-
-// toMotivationSpec bridges a motivation-kind spec onto the legacy
-// MotivationSpec API (kept for direct callers and tests).
-func toMotivationSpec(s spec.Spec) (MotivationSpec, error) {
-	sc := specScale(s)
-	sc.MotivSpines = s.Motiv.Spines
-	sc.MotivHosts = s.Motiv.Hosts
-	sch, err := SchemeByName(s.Scheme, sc.LinkDelay, rlbParamsFor(s, sc.LinkDelay))
-	if err != nil {
-		return MotivationSpec{}, err
-	}
-	return MotivationSpec{
-		Scale:            sc,
-		Scheme:           sch,
-		PFCEnabled:       !s.PFCOff,
-		SprayPaths:       s.Motiv.SprayPaths,
-		Bursts:           s.Motiv.Bursts,
-		BgLoad:           float64(s.Motiv.BgLoadPct) / 100,
-		StrictInvariants: s.Strict,
-		Seed:             s.SimSeed,
-	}, nil
 }
 
 // schemeNameList is the valid-name suffix for unknown-scheme errors.

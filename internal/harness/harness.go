@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/rlb-project/rlb/internal/core"
@@ -67,12 +66,12 @@ type RunConfig struct {
 
 // Result captures one simulation's outcome.
 type Result struct {
-	Report   *metrics.FlowReport
-	Pauses   uint64
-	Recircs  uint64
-	Drops    uint64
-	Warnings uint64 // CNMs accepted by leaf agents
-	// Agents aggregates RLB rerouting-module stats across leaves.
+	Report  *metrics.FlowReport
+	Pauses  uint64
+	Recircs uint64
+	Drops   uint64
+	// Agents aggregates RLB rerouting-module stats across leaves
+	// (Agents.WarningsRcvd counts the CNMs the leaf agents accepted).
 	Agents  core.AgentStats
 	SimTime sim.Time
 	Wall    time.Duration
@@ -182,7 +181,6 @@ func Run(cfg RunConfig) *Result {
 		Violations:      checker.Violations(),
 		InvariantChecks: checker.Checks(),
 	}
-	totalEvents.Add(res.Events)
 	if samp != nil {
 		res.Telemetry = samp.Recording()
 	}
@@ -193,7 +191,6 @@ func Run(cfg RunConfig) *Result {
 		if a == nil {
 			continue
 		}
-		res.Warnings += a.Stats.WarningsRcvd
 		res.Agents.WarningsRcvd += a.Stats.WarningsRcvd
 		res.Agents.PicksTotal += a.Stats.PicksTotal
 		res.Agents.PicksWarned += a.Stats.PicksWarned
@@ -208,56 +205,45 @@ func Run(cfg RunConfig) *Result {
 	return res
 }
 
-// workers returns the simulation parallelism (one worker per CPU).
-func workers() int { return runtime.GOMAXPROCS(0) }
-
-// totalEvents accumulates engine events dispatched across every Run in the
-// process. Atomic because RunAll executes simulations on parallel goroutines.
-var totalEvents atomic.Uint64
-
-// TotalEvents returns the process-wide count of engine events dispatched by
-// completed runs; benchmarks difference it around the measured region to
-// report events/sec.
-func TotalEvents() uint64 { return totalEvents.Load() }
-
-// RunAll executes configs concurrently (one goroutine per simulation, capped
-// at GOMAXPROCS workers) and returns results in input order. Each simulation
-// is fully independent — separate engine, RNG streams, and network — so this
-// is embarrassingly parallel and results do not depend on the worker count
-// (runAllN with any n yields identical results; harness_test.go asserts it).
+// RunAll executes configs concurrently on Parallel's worker pool and returns
+// results in input order.
 func RunAll(cfgs []RunConfig) []*Result {
-	return runAllN(cfgs, runtime.GOMAXPROCS(0))
+	results := make([]*Result, len(cfgs))
+	Parallel(len(cfgs), 0, func(i int) { results[i] = Run(cfgs[i]) })
+	return results
 }
 
-// runAllN is RunAll with an explicit worker count.
-func runAllN(cfgs []RunConfig, workers int) []*Result {
-	results := make([]*Result, len(cfgs))
-	if workers > len(cfgs) {
-		workers = len(cfgs)
+// Parallel calls do(i) for every i in [0, n) on up to `workers` goroutines
+// (GOMAXPROCS when workers <= 0) and returns once every call has finished.
+// It is the only non-test code in the repository that starts goroutines.
+//
+// Worker-isolation contract: do(i) must depend on i alone and write only
+// state owned by index i. Every simulation qualifies — Run builds a fresh
+// engine, network, and seeded RNG streams per call — so callers that store
+// do(i)'s result in slot i of a preallocated slice get byte-identical output
+// for any worker count (invariants_test.go asserts it). Workers communicate
+// only via the index channel, so no locks are needed.
+func Parallel(n, workers int, do func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
+	if workers > n {
+		workers = n
 	}
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		// Worker-isolation contract: Run(cfgs[i]) is a pure function of its
-		// config — it builds a fresh engine, network, and seeded RNG streams
-		// per call. Workers communicate only via the idx channel and write
-		// disjoint results[i] slots, so no locks are needed and the output
-		// is byte-identical for any worker count.
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = Run(cfgs[i])
+				do(i)
 			}
 		}()
 	}
-	for i := range cfgs {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return results
 }

@@ -130,15 +130,22 @@ func TestSweepInts(t *testing.T) {
 	}
 }
 
+// motivRun runs a motivation-kind spec at testScale through the spec path
+// and returns the raw result alongside the victim-flow metrics.
+func motivRun(scheme string, pfcOff bool, seed uint64, spray, bursts int) (*Result, Metrics) {
+	sp := testScale.MotivSpec(seed, spray, bursts)
+	sp.Scheme = scheme
+	sp.PFCOff = pfcOff
+	res := Run(MustCompile(sp))
+	return res, motivationMetrics(sp, res)
+}
+
 func TestMotivationScenarioRuns(t *testing.T) {
-	res := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: motivScheme("presto", testScale),
-		PFCEnabled: true, SprayPaths: 2, Bursts: 2, Seed: 3,
-	})
-	if res.Background.Flows == 0 {
-		t.Fatal("no background flows")
+	res, bg := motivRun("presto", false, 3, 2, 2)
+	if bg.Completed == 0 {
+		t.Fatal("no background flows completed")
 	}
-	if res.Report.Flows <= res.Background.Flows {
+	if float64(res.Report.Completed) <= bg.Completed {
 		t.Fatal("burst/congested flows missing from aggregate")
 	}
 	if res.Pauses == 0 {
@@ -147,10 +154,7 @@ func TestMotivationScenarioRuns(t *testing.T) {
 }
 
 func TestMotivationPFCOffHasNoPauses(t *testing.T) {
-	res := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: motivScheme("drill", testScale),
-		PFCEnabled: false, SprayPaths: 2, Bursts: 2, Seed: 3,
-	})
+	res, _ := motivRun("drill", true, 3, 2, 2)
 	if res.Pauses != 0 {
 		t.Fatalf("%d pauses with PFC disabled", res.Pauses)
 	}
@@ -160,22 +164,14 @@ func TestRLBReducesReorderingUnderPFC(t *testing.T) {
 	// The paper's headline claim, at test scale: with PFC on, adding RLB to
 	// a PFC-oblivious per-packet scheme (DRILL) must reduce the
 	// out-of-order ratio of the victim background flows.
-	base := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: motivScheme("drill", testScale),
-		PFCEnabled: true, SprayPaths: 4, Bursts: 3, Seed: 11,
-	})
-	rlb := defaultRLBFor(testScale)
-	withRLB := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: MustScheme("drill+rlb", testScale.LinkDelay, &rlb),
-		PFCEnabled: true, SprayPaths: 4, Bursts: 3, Seed: 11,
-	})
-	if base.Background.TotalOOO == 0 {
+	_, base := motivRun("drill", false, 11, 4, 3)
+	withRLB, rlb := motivRun("drill+rlb", false, 11, 4, 3)
+	if base.OOOPct == 0 {
 		t.Skip("scenario too gentle at test scale to reorder packets")
 	}
-	if withRLB.Background.OOORatio() >= base.Background.OOORatio() {
-		t.Fatalf("RLB did not reduce reordering: %.4f -> %.4f (warnings=%d recircs=%d)",
-			base.Background.OOORatio(), withRLB.Background.OOORatio(),
-			withRLB.Warnings, withRLB.Recircs)
+	if rlb.OOOPct >= base.OOOPct {
+		t.Fatalf("RLB did not reduce reordering: %.4f%% -> %.4f%% (warnings=%d recircs=%d)",
+			base.OOOPct, rlb.OOOPct, withRLB.Agents.WarningsRcvd, withRLB.Recircs)
 	}
 }
 

@@ -66,8 +66,13 @@ func TestRunAllIndependentOfWorkerCount(t *testing.T) {
 		}
 		return cfgs
 	}
-	serial := runAllN(mkCfgs(), 1)
-	wide := runAllN(mkCfgs(), 8)
+	run := func(workers int) []*Result {
+		cfgs := mkCfgs()
+		out := make([]*Result, len(cfgs))
+		Parallel(len(cfgs), workers, func(i int) { out[i] = Run(cfgs[i]) })
+		return out
+	}
+	serial, wide := run(1), run(8)
 	if len(serial) != len(wide) {
 		t.Fatalf("result counts differ: %d vs %d", len(serial), len(wide))
 	}
@@ -136,14 +141,14 @@ func TestViolationsCarryRunContext(t *testing.T) {
 func TestMotivationStrictAndUnretained(t *testing.T) {
 	// The motivation scenario (PFC storms, recirculation, spraying) is the
 	// hardest path for the checker; it must stay clean in strict mode, and
-	// RunMotivation must not leak its network.
-	res := RunMotivation(MotivationSpec{
-		Scale: testScale, Scheme: motivScheme("drill", testScale),
-		PFCEnabled: true, SprayPaths: 2, Bursts: 2, Seed: 3,
-		StrictInvariants: true,
-	})
+	// the sweep's metric extraction must not leak the retained network.
+	sp := testScale.MotivSpec(3, 2, 2)
+	sp.Scheme = "drill"
+	sp.Strict = true
+	res := Run(MustCompile(sp))
+	specMetrics(sp, res)
 	if res.Network != nil {
-		t.Fatal("RunMotivation leaked Result.Network")
+		t.Fatal("specMetrics leaked Result.Network")
 	}
 	if res.InvariantChecks == 0 {
 		t.Fatal("checker not wired through the motivation path")

@@ -1,76 +1,39 @@
 package harness
 
 import (
-	"github.com/rlb-project/rlb/internal/core"
-	"github.com/rlb-project/rlb/internal/metrics"
 	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
+	"github.com/rlb-project/rlb/internal/spec"
 	"github.com/rlb-project/rlb/internal/topo"
-	"github.com/rlb-project/rlb/internal/transport"
 	"github.com/rlb-project/rlb/internal/workload"
 )
 
-// MotivationSpec parameterizes the Fig. 2 scenario: two leaf switches, many
-// equal-cost paths between them, background flows H1..Hn -> R1..Rn, bursty
-// hosts Hb blasting receiver Rc, and a long congested flow fc from Hc to Rc
-// sprayed over several parallel paths.
-type MotivationSpec struct {
-	Scale  Scale
-	Scheme Scheme
-	// PFCEnabled toggles lossless mode (the Fig. 3 comparison axis).
-	PFCEnabled bool
-	// SprayPaths is how many parallel paths fc uses (Fig. 4(a) sweeps this).
-	SprayPaths int
-	// Bursts is the number of continuous burst waves (Fig. 4(b) sweeps it).
-	Bursts int
-	// BgLoad is the background senders' offered load fraction.
-	BgLoad float64
-	// StrictInvariants turns on the checker's expensive tier for this run
-	// (see RunConfig.StrictInvariants).
-	StrictInvariants bool
-	Seed             uint64
-}
-
-// MotivationResult separates the victim (background) flows' metrics from the
-// aggregate, since the paper's Fig. 3/4 measure the uncongested flows.
-type MotivationResult struct {
-	*Result
-	Background *metrics.FlowReport
-}
-
-// RunMotivation executes the Fig. 2 scenario once.
-func RunMotivation(spec MotivationSpec) *MotivationResult {
-	cfg, nBg := motivationConfig(spec)
-	res := Run(cfg)
-	// Background flows are those sourced by H1..Hn (host ids < nBg).
-	var bg []*transport.Flow
-	for _, f := range res.Network.Flows {
-		if f.Src < nBg {
-			bg = append(bg, f)
-		}
+// motivationConfig builds the Fig. 2 scenario's RunConfig from a
+// motivation-kind spec: two leaf switches joined by Motiv.Spines equal-cost
+// paths, background flows H1..Hn -> R1..Rn (n = Motiv.Hosts), bursty hosts Hb
+// blasting receiver Rc, and a long congested flow fc from Hc to Rc sprayed
+// over Motiv.SprayPaths parallel paths. Host ids below Motiv.Hosts are the
+// victim flows motivationMetrics measures.
+func motivationConfig(sp spec.Spec) (RunConfig, error) {
+	s := specScale(sp)
+	m := sp.Motiv
+	sch, err := SchemeByName(sp.Scheme, s.LinkDelay, rlbParamsFor(sp, s.LinkDelay))
+	if err != nil {
+		return RunConfig{}, err
 	}
-	res.Network = nil
-	return &MotivationResult{Result: res, Background: metrics.BuildFlowReport(bg)}
-}
-
-// motivationConfig builds the Fig. 2 scenario's RunConfig and returns it with
-// the background-sender count (host ids below it are the victim flows the
-// figures measure). Shared by RunMotivation and the spec compiler.
-func motivationConfig(spec MotivationSpec) (RunConfig, int) {
-	s := spec.Scale
-	nBg := s.MotivHosts
+	nBg := m.Hosts
 	nBurst := nBg / 4
 	if nBurst < 2 {
 		nBurst = 2
 	}
 	hostsPerLeaf := nBg + 1 + nBurst
 
-	p := topo.Default(2, s.MotivSpines, hostsPerLeaf)
+	p := topo.Default(2, m.Spines, hostsPerLeaf)
 	p.LinkRate = s.LinkRate
 	p.LinkDelay = s.LinkDelay
 	s.ScaleSwitch(&p.Switch)
-	p.Switch.PFCEnabled = spec.PFCEnabled
-	spec.Scheme.Apply(&p)
+	p.Switch.PFCEnabled = !sp.PFCOff
+	sch.Apply(&p)
 
 	// Host roles (leaf 0 then leaf 1). Burst hosts sit on leaf 0 so their
 	// line-rate 64 KB flows cross the fabric toward Rc: they are what pauses
@@ -87,24 +50,25 @@ func motivationConfig(spec MotivationSpec) (RunConfig, int) {
 	burstFlowsPerHost := 10 // scaled stand-in for the paper's 40
 	burstGap := 400 * sim.Microsecond
 
-	bgLoad := spec.BgLoad
+	bgLoad := float64(m.BgLoadPct) / 100
 	if bgLoad <= 0 {
 		bgLoad = 0.55
 	}
+	sprayPaths, bursts, seed := m.SprayPaths, m.Bursts, sp.SimSeed
 
-	cfg := RunConfig{
+	return RunConfig{
 		Topo: p,
-		// KeepNetwork so the victim flows can be separated below; released
-		// again before returning.
+		// KeepNetwork so motivationMetrics can separate the victim flows;
+		// specMetrics releases it after extraction.
 		KeepNetwork:      true,
-		StrictInvariants: spec.StrictInvariants,
+		StrictInvariants: sp.Strict,
 		Duration:         s.Duration,
 		Drain:            s.Drain,
-		Seed:             spec.Seed,
+		Seed:             seed,
 		Inject: func(n *topo.Network) {
 			// Congested flow fc over SprayPaths parallel paths.
 			fc := n.StartFlow(hc, rc, fcSize)
-			n.SprayFlow(fc, spec.SprayPaths)
+			n.SprayFlow(fc, sprayPaths)
 
 			// Continuous bursts into Rc (intra-leaf on leaf 1).
 			var burstHosts []int
@@ -112,14 +76,13 @@ func motivationConfig(spec MotivationSpec) (RunConfig, int) {
 				burstHosts = append(burstHosts, burstBase+b)
 			}
 			workload.Bursts(n.Eng, n.Starter(), burstHosts, rc,
-				burstFlowsPerHost, burstFlowSize, spec.Bursts, burstGap)
+				burstFlowsPerHost, burstFlowSize, bursts, burstGap)
 
 			// Background pairs Hi -> Ri with Poisson arrivals (Web Search).
-			pairedPoisson(n, rng.New(spec.Seed+13), workload.WebSearch(),
+			pairedPoisson(n, rng.New(seed+13), workload.WebSearch(),
 				nBg, hostsPerLeaf, bgLoad, s.Duration, s.MaxFlowBytes)
 		},
-	}
-	return cfg, nBg
+	}, nil
 }
 
 // pairedPoisson drives Poisson flow arrivals from sender i (host id i on
@@ -152,11 +115,3 @@ func pairedPoisson(n *topo.Network, r *rng.Source, dist *workload.SizeDist,
 	}
 	schedule()
 }
-
-// motivScheme builds the Scheme for a motivation run (vanilla base LB).
-func motivScheme(name string, s Scale) Scheme {
-	return MustScheme(name, s.LinkDelay, nil)
-}
-
-// defaultRLBFor returns RLB defaults for a scale.
-func defaultRLBFor(s Scale) core.Params { return core.DefaultParams(s.LinkDelay) }

@@ -6,7 +6,6 @@ import (
 	"github.com/rlb-project/rlb/internal/switchsim"
 	"github.com/rlb-project/rlb/internal/topo"
 	"github.com/rlb-project/rlb/internal/units"
-	"github.com/rlb-project/rlb/internal/workload"
 )
 
 // Scale bundles the fabric size and run length used by the figure builders.
@@ -62,11 +61,10 @@ var DefaultScale = Scale{
 	Seeds: 3,
 }
 
-// ScaleTier is the large-topology benchmark tier (BenchmarkScaleFabric* in
-// bench_test.go): a fabric with an order of magnitude more hosts and links
-// than BenchScale, so the event queue carries the port count the scheduler
-// was sized for. One scheme, one seed — the tier measures engine throughput
-// at scale, not figure statistics.
+// ScaleTier is the large-topology tier (`figures -scale scale`): a fabric
+// with an order of magnitude more hosts and links than BenchScale, so the
+// event queue carries the port count the scheduler was sized for. The
+// benchmark's fabric-* workloads run the same 8x8/8 fabric.
 var ScaleTier = Scale{
 	Name: "scale", Leaves: 8, Spines: 8, HostsPerLeaf: 8,
 	LinkRate: 10 * units.Gbps, LinkDelay: 2 * sim.Microsecond,
@@ -99,20 +97,6 @@ func ScaleByName(name string) (Scale, bool) {
 		return PaperScale, true
 	}
 	return Scale{}, false
-}
-
-// ScaleThroughput runs one simulation of the Web Search workload at 60% load
-// on Scale s under the named scheme and returns its Result — the scale
-// benchmark tier's unit of work. Figure builders average several schemes and
-// seeds; this deliberately runs one fabric so events/sec reflects the engine,
-// not harness fan-out.
-func ScaleThroughput(s Scale, schemeName string, seed uint64) *Result {
-	p := s.TopoParams()
-	MustScheme(schemeName, s.LinkDelay, nil).Apply(&p)
-	return Run(RunConfig{
-		Topo: p, Workload: workload.WebSearch(), Load: 0.6,
-		MaxFlowBytes: s.MaxFlowBytes, Duration: s.Duration, Drain: s.Drain, Seed: seed,
-	})
 }
 
 // TopoParams returns symmetric fabric params for this scale.

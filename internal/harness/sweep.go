@@ -10,9 +10,9 @@ import (
 )
 
 // Metrics is the seed-averaged outcome of one spec cell, covering all three
-// experiment kinds. Fabric cells fill the FCT/reordering/pause block (like
-// AvgMetrics); motivation cells fill the same block measured over the
-// background (victim) flows only; repeated-incast cells fill OOORatio/ICTms
+// experiment kinds. Fabric cells fill the FCT/reordering/pause block;
+// motivation cells fill the same block measured over the background (victim)
+// flows only; repeated-incast cells fill OOORatio/ICTms
 // and the initiation counters. Unused fields stay zero.
 type Metrics struct {
 	AFCT      float64 // mean FCT, ms
@@ -145,6 +145,9 @@ func minI(a, b int) int {
 	}
 	return b
 }
+
+// seedStride spaces seed offsets so derived streams stay independent.
+const seedStride = 9973
 
 // RunSpecsAveraged compiles every spec at `seeds` seed offsets (SimSeed,
 // SimSeed+stride, ...), executes all runs concurrently, and returns

@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"github.com/rlb-project/rlb/internal/harness"
 	"github.com/rlb-project/rlb/internal/sim"
@@ -131,39 +129,14 @@ func checkSingleRun(spec Spec, r *harness.Result) *Failure {
 }
 
 // Sweep checks n scenarios generated from consecutive seeds base..base+n-1,
-// fanned out across workers (GOMAXPROCS when workers <= 0), and returns one
-// slot per scenario: nil for a clean pass, the Failure otherwise.
+// fanned out on harness.Parallel (GOMAXPROCS workers when workers <= 0), and
+// returns one slot per scenario: nil for a clean pass, the Failure otherwise.
+// Check is a pure function of its spec, so the output is identical for any
+// worker count.
 func Sweep(base uint64, n, workers int) []*Failure {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	failures := make([]*Failure, n)
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		// Worker-isolation contract (mirrors harness.runAllN): Check is a
-		// pure function of its spec — every run inside it builds a fresh
-		// engine, network, and seeded RNG streams. Workers communicate only
-		// via the idx channel and write disjoint failures[i] slots, so the
-		// output is identical for any worker count.
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				failures[i] = Check(Generate(base + uint64(i)))
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	harness.Parallel(n, workers, func(i int) {
+		failures[i] = Check(Generate(base + uint64(i)))
+	})
 	return failures
 }

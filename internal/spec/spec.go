@@ -137,7 +137,7 @@ type Spec struct {
 	LeakPutEvery int `json:"leakPutEvery,omitempty"`
 }
 
-// MotivSpec parameterizes the Fig. 2 scenario (see harness.RunMotivation):
+// MotivSpec parameterizes the Fig. 2 scenario (see harness.Compile):
 // two leaf switches joined by Spines equal-cost paths, Hosts background
 // sender/receiver pairs, line-rate bursts, and one long flow sprayed over
 // SprayPaths parallel paths.
