@@ -22,12 +22,13 @@ bench-smoke:
 
 # Telemetry tier (TESTING.md "Telemetry tier"): the observation-only
 # contract in one command — determinism fingerprints bit-identical with
-# sampling on and off, the exported JSONL pinned byte-for-byte to its golden,
-# and the sampler/registry/exporter unit suite including the steady-state
-# zero-allocation assertion.
+# sampling and event recording on and off, the exported JSONL (series and
+# events) pinned byte-for-byte to its golden, every event kind reconciled
+# against its run counter, and the sampler/event-log/registry/exporter unit
+# suite including the zero-allocation tick and record assertions.
 telemetry-verify:
 	$(GO) test -count=1 ./internal/telemetry/
-	$(GO) test -count=1 -run 'TestTelemetry' ./internal/harness/
+	$(GO) test -count=1 -run 'TestTelemetry|TestEvents' ./internal/harness/
 
 # Refresh the committed telemetry golden after an intentional change to the
 # exporter format or the simulation's observable trajectory; review the diff.

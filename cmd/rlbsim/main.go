@@ -11,7 +11,12 @@
 //	rlbsim -spec exp.json -load 0.6          # same spec, one knob changed
 //	rlbsim -scheme ecmp -kill 2 -kill-at 1ms -restore-at 3ms -strict
 //	rlbsim -telemetry out.jsonl -sample-interval 10us
+//	rlbsim -scheme conga+rlb -trace 20
 //	rlbsim -repro /tmp/rlb-repro-flows-complete.json
+//
+// `-trace N` prints the last N control-plane events (PFC pauses, drops,
+// recirculations, CNM warnings) from the run's telemetry event log, turning
+// telemetry on at the default sampling interval when -telemetry is not given.
 package main
 
 import (
@@ -30,7 +35,6 @@ import (
 	"github.com/rlb-project/rlb/internal/scenario"
 	"github.com/rlb-project/rlb/internal/spec"
 	"github.com/rlb-project/rlb/internal/telemetry"
-	"github.com/rlb-project/rlb/internal/trace"
 )
 
 // scenarioFlags are the flags that shape the scenario itself (as opposed to
@@ -42,8 +46,7 @@ var scenarioFlags = map[string]bool{
 	"spines": true, "hosts": true, "gbps": true, "duration": true,
 	"drain": true, "asym": true, "cap": true, "seed": true, "seeds": true,
 	"noguard": true, "norecirc": true, "probe": true, "kill": true,
-	"kill-at": true, "restore-at": true, "strict": true, "sched": true,
-	"spec": true,
+	"kill-at": true, "restore-at": true, "strict": true, "spec": true,
 }
 
 func main() {
@@ -62,7 +65,7 @@ func main() {
 	seeds := flag.Int("seeds", 1, "number of seeds to run and average")
 	noGuard := flag.Bool("noguard", false, "RLB ablation: disable the flow-order guard")
 	noRecirc := flag.Bool("norecirc", false, "RLB ablation: disable packet recirculation")
-	traceN := flag.Int("trace", 0, "record the last N control-plane events and dump them")
+	traceN := flag.Int("trace", 0, "print the last N control-plane events from the telemetry event log")
 	telemetryOut := flag.String("telemetry", "", "sample run-time telemetry and write the series to this file (JSONL; a .csv suffix writes CSV)")
 	sampleInterval := flag.Duration("sample-interval", 10*time.Microsecond, "telemetry sampling interval (with -telemetry)")
 	probe := flag.Duration("probe", 0, "use in-band probe telemetry at this interval instead of oracle path state (0 = oracle)")
@@ -70,7 +73,6 @@ func main() {
 	killAt := flag.Duration("kill-at", time.Millisecond, "fault plane: when to kill the links")
 	restoreAt := flag.Duration("restore-at", 0, "fault plane: when to restore them (0 = never)")
 	strict := flag.Bool("strict", false, "enable the strict invariant-checker tier")
-	sched := flag.String("sched", "calendar", "event scheduler: calendar|heap (heap is the reference implementation, for A/B debugging)")
 	specPath := flag.String("spec", "", "load the scenario from this canonical spec JSON file; other flags overlay it")
 	dumpSpec := flag.Bool("dump-spec", false, "print the effective spec as canonical JSON and exit without running")
 	fingerprint := flag.Bool("fingerprint", false, "print the run's determinism fingerprint (single-seed runs)")
@@ -166,18 +168,11 @@ func main() {
 	if visited["probe"] {
 		s.ProbeUs = int(*probe / time.Microsecond)
 	}
-	if visited["sched"] {
-		s.Scheduler = *sched
-	}
 	if visited["strict"] {
 		s.Strict = *strict
 	}
 	if visited["telemetry"] || visited["sample-interval"] {
-		us := int(*sampleInterval / time.Microsecond)
-		if us < 1 {
-			us = 1
-		}
-		s.Telemetry = &spec.TelemetrySpec{SampleUs: us}
+		s.Telemetry = &spec.TelemetrySpec{SampleUs: max(1, int(*sampleInterval/time.Microsecond))}
 	}
 	if set("kill") {
 		if *kill > s.Spines {
@@ -204,9 +199,19 @@ func main() {
 		return
 	}
 
-	// Compile once up front so registry errors (unknown scheme, workload,
-	// scheduler — each listing the valid names) surface before any profiling
-	// starts or simulations run.
+	nSeeds := max(1, s.Seeds)
+	if nSeeds > 1 && (*telemetryOut != "" || *traceN > 0) {
+		fmt.Fprintln(os.Stderr, "rlbsim: -telemetry and -trace record one run; use -seeds 1")
+		os.Exit(2)
+	}
+	if *traceN > 0 && s.Telemetry == nil {
+		// The event log rides on telemetry: sample at the default interval.
+		s.Telemetry = &spec.TelemetrySpec{SampleUs: int(*sampleInterval / time.Microsecond)}
+	}
+
+	// Compile once up front so registry errors (unknown scheme or workload,
+	// each listing the valid names) and out-of-range shapes surface before
+	// any profiling starts or simulations run.
 	cfg, err := harness.Compile(s)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rlbsim:", err)
@@ -241,29 +246,11 @@ func main() {
 		}()
 	}
 
-	nSeeds := s.Seeds
-	if nSeeds < 1 {
-		nSeeds = 1
-	}
 	if nSeeds > 1 {
-		if *telemetryOut != "" {
-			fmt.Fprintln(os.Stderr, "rlbsim: -telemetry records one run's time series; use -seeds 1")
-			os.Exit(2)
-		}
 		runAveraged(s, nSeeds)
 		return
 	}
 
-	var buf *trace.Buffer
-	if *traceN > 0 {
-		buf = trace.NewBuffer(*traceN)
-		// Data-plane arrivals/departures would drown the buffer; keep the
-		// control-plane story (pauses, warnings, recirculations, drops).
-		buf.Filter = func(e trace.Event) bool {
-			return e.Kind != trace.DataArrive && e.Kind != trace.DataDepart
-		}
-		cfg.Topo.Trace = buf
-	}
 	if *fingerprint {
 		cfg.KeepNetwork = true
 	}
@@ -315,10 +302,32 @@ func main() {
 	if *fingerprint {
 		fmt.Printf("fingerprint: %s\n", harness.Fingerprint(res))
 	}
-	if buf != nil {
-		fmt.Printf("\ntrace:      %d events recorded (%s)\n", buf.Total(), buf.Summary())
-		fmt.Printf("last %d control-plane events:\n", buf.Len())
-		_ = buf.Dump(os.Stdout)
+	if *traceN > 0 {
+		printTrace(res.Telemetry, *traceN)
+	}
+}
+
+// printTrace prints a histogram of every recorded event kind and the last n
+// events of the log.
+func printTrace(rec *telemetry.Recording, n int) {
+	var counts [telemetry.NumEventKinds]int
+	for _, ev := range rec.Events {
+		counts[ev.Kind]++
+	}
+	var parts []string
+	for k, c := range counts {
+		if c > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", telemetry.EventKind(k), c))
+		}
+	}
+	fmt.Printf("\ntrace:      %d events recorded (%s)\n", len(rec.Events), strings.Join(parts, " "))
+	if rec.EventsDropped > 0 {
+		fmt.Printf("trace:      %d later events dropped past the %d-event log\n", rec.EventsDropped, telemetry.EventCap)
+	}
+	last := rec.Events[max(0, len(rec.Events)-n):]
+	fmt.Printf("last %d control-plane events:\n", len(last))
+	for _, ev := range last {
+		fmt.Println(ev)
 	}
 }
 

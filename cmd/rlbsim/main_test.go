@@ -1,0 +1,112 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// runMainEnv, when set, makes the test binary run rlbsim's main() with its
+// command-line arguments instead of the tests, so each case below exercises
+// the real flag parsing, output and exit codes in a child process.
+const runMainEnv = "RLBSIM_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// tinyFabric is a 2x2/2 drill+rlb run short enough for a unit test and busy
+// enough that PFC pauses and RLB warnings fire.
+var tinyFabric = []string{
+	"-leaves", "2", "-spines", "2", "-hosts", "2", "-scheme", "drill+rlb",
+	"-load", "0.8", "-cap", "100000", "-duration", "200us", "-drain", "300us",
+}
+
+// rlbsim runs main() in a child process and returns its stdout, stderr and
+// exit code.
+func rlbsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+func TestTraceFlagPrintsLastEvents(t *testing.T) {
+	out, stderr, code := rlbsim(t, append(tinyFabric, "-trace", "5")...)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	summary := regexp.MustCompile(`(?m)^trace: +(\d+) events recorded \((.*PAUSE_ON=\d+.*)\)$`)
+	if !summary.MatchString(out) {
+		t.Fatalf("no kind summary covering PAUSE_ON in:\n%s", out)
+	}
+	_, tail, ok := strings.Cut(out, "last 5 control-plane events:\n")
+	if !ok {
+		t.Fatalf("no event listing in:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimSuffix(tail, "\n"), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("want 5 event lines, got %d:\n%s", len(lines), tail)
+	}
+	for _, l := range lines {
+		if !strings.Contains(l, " dev=") || !strings.Contains(l, " aux=") {
+			t.Fatalf("malformed event line %q", l)
+		}
+	}
+}
+
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for name, args := range map[string][]string{
+		"trace with seeds": append(tinyFabric, "-trace", "5", "-seeds", "2"),
+		"removed -sched":   append(tinyFabric, "-sched", "heap"),
+		"65 spines":        append(tinyFabric, "-spines", "65"),
+	} {
+		out, stderr, code := rlbsim(t, args...)
+		if code != 2 {
+			t.Errorf("%s: exit %d, want 2\nstdout:\n%s\nstderr:\n%s", name, code, out, stderr)
+		}
+		if strings.Contains(stderr, "panic:") {
+			t.Errorf("%s: panicked:\n%s", name, stderr)
+		}
+	}
+}
+
+// TestDumpSpecReplays freezes a flag-built run with -dump-spec and replays it
+// through -spec: every metric line must match.
+func TestDumpSpecReplays(t *testing.T) {
+	spec, stderr, code := rlbsim(t, append(tinyFabric, "-dump-spec")...)
+	if code != 0 {
+		t.Fatalf("dump-spec exit %d: %s", code, stderr)
+	}
+	path := filepath.Join(t.TempDir(), "exp.json")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromFlags, _, code1 := rlbsim(t, append(tinyFabric, "-fingerprint")...)
+	fromSpec, _, code2 := rlbsim(t, "-spec", path, "-fingerprint")
+	if code1 != 0 || code2 != 0 {
+		t.Fatalf("exit codes %d/%d", code1, code2)
+	}
+	wall := regexp.MustCompile(`(?m)^wall:.*$`)
+	if a, b := wall.ReplaceAllString(fromFlags, ""), wall.ReplaceAllString(fromSpec, ""); a != b {
+		t.Fatalf("replayed spec diverged:\nflags:\n%s\nspec:\n%s", a, b)
+	}
+}

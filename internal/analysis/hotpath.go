@@ -33,8 +33,10 @@ import (
 // reachable from OnEvent.
 //
 // Arguments of panic(...) are exempt: the failure path is allowed to format.
-// Observer packages (trace, invariant) outside the simPackages list are not
+// Observer packages (invariant) outside the simPackages list are not
 // reported — they are opt-in diagnostics, not the steady-state data plane.
+// internal/telemetry is in the list: its sampler tick and event record path
+// run inside the event loop and are checked like any other hot function.
 // Each finding carries the shortest OnEvent call chain that makes the
 // function hot, so the fix target is visible from the message alone.
 var Hotpath = &Analyzer{

@@ -8,8 +8,8 @@ import (
 
 // poolOwnerPackages are the data-plane packages whose functions take
 // ownership of pooled packets and are therefore subject to the leak check.
-// Observer packages (invariant, trace, metrics) inspect packets they do not
-// own and are exempt; internal/fabric implements the pool itself.
+// Observer packages (invariant, telemetry, metrics) inspect packets they do
+// not own and are exempt; internal/fabric implements the pool itself.
 var poolOwnerPackages = []string{
 	"internal/switchsim", "internal/transport", "internal/core",
 	"internal/dcqcn", "internal/topo", "internal/lb",

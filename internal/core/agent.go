@@ -6,7 +6,7 @@ import (
 	"github.com/rlb-project/rlb/internal/lb"
 	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/switchsim"
-	"github.com/rlb-project/rlb/internal/trace"
+	"github.com/rlb-project/rlb/internal/telemetry"
 )
 
 // AgentStats counts rerouting-module activity at one leaf switch.
@@ -135,10 +135,7 @@ func (a *Agent) OnControl(sw *switchsim.Switch, pkt *fabric.Packet, inPort int) 
 	}
 	a.Stats.WarningsRcvd++
 	a.warned[uplink].SetGrow(pkt.CNMsg.DstLeaf+1, sw.Eng.Now()+a.Params.WarnExpiry)
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.WarningSet,
-			Dev: sw.ID, Port: uplink, Aux: pkt.CNMsg.DstLeaf})
-	}
+	sw.RecordEvent(telemetry.WarnSet, uplink, 0, 0, pkt.CNMsg.DstLeaf)
 	return true
 }
 

@@ -4,7 +4,7 @@ import (
 	"github.com/rlb-project/rlb/internal/fabric"
 	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/switchsim"
-	"github.com/rlb-project/rlb/internal/trace"
+	"github.com/rlb-project/rlb/internal/telemetry"
 	"github.com/rlb-project/rlb/internal/units"
 )
 
@@ -175,10 +175,7 @@ func predictWarn(q, deriv, qPFC, qth int, deltaT, warnTime sim.Time, paused, sta
 // directly to the upstream hop that is feeding the queue.
 func (p *Predictor) sendCNM(port int) {
 	p.Stats.Warnings++
-	if p.sw.Trace != nil {
-		p.sw.Trace.Add(trace.Event{At: p.sw.Eng.Now(), Kind: trace.CNMSent,
-			Dev: p.sw.ID, Port: port, Aux: p.sw.IngressBytes(port)})
-	}
+	p.sw.RecordEvent(telemetry.CNMSent, port, 0, 0, p.sw.IngressBytes(port))
 	cnm := p.sw.Pool.Control(fabric.CNM, p.sw.ID, -1)
 	cnm.CNMsg = fabric.CNMInfo{
 		SwitchID:    p.sw.ID,

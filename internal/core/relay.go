@@ -3,7 +3,7 @@ package core
 import (
 	"github.com/rlb-project/rlb/internal/fabric"
 	"github.com/rlb-project/rlb/internal/switchsim"
-	"github.com/rlb-project/rlb/internal/trace"
+	"github.com/rlb-project/rlb/internal/telemetry"
 )
 
 // maxCNMHops bounds hop-by-hop warning propagation (leaf-spine needs one
@@ -52,10 +52,7 @@ func (r *Relay) OnControl(pkt *fabric.Packet, inPort int) bool {
 		r.sw.SendControl(relayed, up)
 		r.Stats.Relayed++
 		r.sw.Stats.CNMRelayed++
-		if r.sw.Trace != nil {
-			r.sw.Trace.Add(trace.Event{At: r.sw.Eng.Now(), Kind: trace.CNMRelayed,
-				Dev: r.sw.ID, Port: up, Aux: pkt.CNMsg.DstLeaf})
-		}
+		r.sw.RecordEvent(telemetry.CNMRelay, up, 0, 0, pkt.CNMsg.DstLeaf)
 	}
 	return true
 }

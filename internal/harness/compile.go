@@ -89,8 +89,9 @@ func specFaults(s spec.Spec, rate units.Bandwidth) []topo.Fault {
 // Compile translates the canonical experiment spec into the RunConfig the
 // harness executes — the single point where spec fields become simulator
 // parameters, shared by the figure sweep engine, both CLIs, and the scenario
-// fuzzer. It validates against the real registries (scheme, workload,
-// scheduler, fault addresses) and returns errors that list the valid names.
+// fuzzer. It validates against the real registries (scheme, workload, fault
+// addresses) and the fabric's dimension limits, and returns errors that list
+// the valid names or range.
 //
 // The compiled config always carries Context = s.Params(), so every
 // invariant violation is labeled with the full reproducible parameter set in
@@ -122,13 +123,16 @@ func validateShape(s spec.Spec) error {
 	if s.DrainUs < 0 || s.MaxFlowKB < 0 || s.LoadPct < 0 {
 		return fmt.Errorf("negative drainUs/maxFlowKB/loadPct")
 	}
-	if s.Scheduler != "" {
-		if _, ok := sim.SchedulerByName(s.Scheduler); !ok {
-			return fmt.Errorf("unknown scheduler %q (valid: calendar, heap)", s.Scheduler)
-		}
-	}
 	if s.Telemetry != nil && s.Telemetry.SampleUs < 1 {
 		return fmt.Errorf("telemetry sampleUs %d: need >= 1", s.Telemetry.SampleUs)
+	}
+	return nil
+}
+
+// checkSpines rejects a spine count topo.Build would refuse.
+func checkSpines(field string, n int) error {
+	if n < 1 || n > topo.MaxSpines {
+		return fmt.Errorf("%s %d: valid range is 1..%d", field, n, topo.MaxSpines)
 	}
 	return nil
 }
@@ -146,9 +150,12 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 	if err := validateShape(s); err != nil {
 		return RunConfig{}, err
 	}
-	if s.Leaves < 1 || s.Spines < 1 || s.HostsPerLeaf < 1 {
-		return RunConfig{}, fmt.Errorf("fabric %dx%d/%d: need >= 1 leaves, spines, hosts per leaf",
+	if s.Leaves < 1 || s.HostsPerLeaf < 1 {
+		return RunConfig{}, fmt.Errorf("fabric %dx%d/%d: need >= 1 leaves, hosts per leaf",
 			s.Leaves, s.Spines, s.HostsPerLeaf)
+	}
+	if err := checkSpines("spines", s.Spines); err != nil {
+		return RunConfig{}, err
 	}
 	sc := specScale(s)
 	p := sc.TopoParams()
@@ -169,10 +176,6 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 	}
 	if s.ProbeUs > 0 {
 		p.ProbeInterval = usTime(s.ProbeUs)
-	}
-	if s.Scheduler != "" {
-		kind, _ := sim.SchedulerByName(s.Scheduler) // validated above
-		p.Scheduler = kind
 	}
 	for _, f := range s.Faults {
 		if f.Leaf < 0 || f.Leaf >= s.Leaves || f.Spine < 0 || f.Spine >= s.Spines {
@@ -310,8 +313,11 @@ func compileMotivation(s spec.Spec) (RunConfig, error) {
 		return RunConfig{}, err
 	}
 	m := s.Motiv
-	if m.Spines < 1 || m.Hosts < 1 {
-		return RunConfig{}, fmt.Errorf("motiv %d paths / %d pairs: need >= 1 of each", m.Spines, m.Hosts)
+	if m.Hosts < 1 {
+		return RunConfig{}, fmt.Errorf("motiv %d pairs: need >= 1", m.Hosts)
+	}
+	if err := checkSpines("motiv spines", m.Spines); err != nil {
+		return RunConfig{}, err
 	}
 	if m.SprayPaths < 1 {
 		return RunConfig{}, fmt.Errorf("motiv sprayPaths %d: need >= 1", m.SprayPaths)
@@ -319,10 +325,6 @@ func compileMotivation(s spec.Spec) (RunConfig, error) {
 	cfg, err := motivationConfig(s)
 	if err != nil {
 		return RunConfig{}, err
-	}
-	if s.Scheduler != "" {
-		kind, _ := sim.SchedulerByName(s.Scheduler) // validated above
-		cfg.Topo.Scheduler = kind
 	}
 	cfg.Context = s.Params()
 	cfg.Telemetry = specTelemetry(s)

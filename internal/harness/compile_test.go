@@ -123,7 +123,13 @@ func TestCompileValidation(t *testing.T) {
 		{"zero duration", func(s *spec.Spec) { s.DurationUs = 0 }, "durationUs"},
 		{"negative load", func(s *spec.Spec) { s.LoadPct = -1 }, "negative"},
 		{"no leaves", func(s *spec.Spec) { s.Leaves = 0 }, "fabric"},
-		{"bad scheduler", func(s *spec.Spec) { s.Scheduler = "fifo" }, "calendar, heap"},
+		{"no spines", func(s *spec.Spec) { s.Spines = 0 }, "valid range is 1..64"},
+		{"too many spines", func(s *spec.Spec) { s.Spines = 65 }, "valid range is 1..64"},
+		{"motiv too many spines", func(s *spec.Spec) {
+			*s = DefaultScale.MotivSpec(1, 2, 2)
+			s.Scheme = "ecmp"
+			s.Motiv.Spines = 65
+		}, "valid range is 1..64"},
 		{"fault off fabric", func(s *spec.Spec) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 9, DownAtUs: 10, UpAtUs: 20}}
 		}, "outside the"},

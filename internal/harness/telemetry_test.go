@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/rlb-project/rlb/internal/spec"
+	"github.com/rlb-project/rlb/internal/switchsim"
 	"github.com/rlb-project/rlb/internal/telemetry"
 )
 
@@ -18,7 +19,8 @@ var updateTelemetry = flag.Bool("update-telemetry", false, "rewrite testdata/tel
 
 // telemetrySpec is the pinned scenario behind the telemetry golden: small
 // enough to run in a unit test, busy enough that queues build, PFC fires,
-// and DCQCN reacts — so the sampled series actually move.
+// and DCQCN reacts — so the sampled series actually move and the event log
+// fills with pauses, warnings and recirculations.
 func telemetrySpec() spec.Spec {
 	return spec.Spec{
 		SimSeed: goldenSeed, Leaves: 2, Spines: 2, HostsPerLeaf: 2, LinkGbps: 10,
@@ -32,7 +34,8 @@ func telemetrySpec() spec.Spec {
 // spec must produce a bit-identical determinism fingerprint — including every
 // retained flow's finish time — with telemetry sampling on and off. Sampler
 // events may interleave with simulation events on the calendar, but they read
-// state without mutating it, so nothing downstream may shift.
+// state without mutating it, and recording an event writes only to the log,
+// so nothing downstream may shift.
 func TestTelemetryFingerprintParity(t *testing.T) {
 	run := func(s spec.Spec) (string, *telemetry.Recording) {
 		cfg := MustCompile(s)
@@ -60,16 +63,58 @@ func TestTelemetryFingerprintParity(t *testing.T) {
 	if recOff != nil {
 		t.Fatal("telemetry-off run attached a recording")
 	}
-	if len(rec.Times) < 10 || len(rec.Names) == 0 {
-		t.Fatalf("implausibly small recording: %d samples x %d probes", len(rec.Times), len(rec.Names))
+	if len(rec.Times) < 10 || len(rec.Names) == 0 || len(rec.Events) == 0 {
+		t.Fatalf("implausibly small recording: %d samples x %d probes, %d events",
+			len(rec.Times), len(rec.Names), len(rec.Events))
 	}
 	if fpOn != fpOff {
 		t.Fatalf("telemetry sampling perturbed the simulation:\non:  %s\noff: %s", fpOn, fpOff)
 	}
 }
 
+// TestEventsReconcileWithCounters checks the event log against the counters
+// the same run keeps: each kind's event count must equal its counter summed
+// over the fabric, so no emission site is missing or doubled.
+func TestEventsReconcileWithCounters(t *testing.T) {
+	cfg := MustCompile(telemetrySpec())
+	cfg.KeepNetwork = true
+	res := Run(cfg)
+	rec, n := res.Telemetry, res.Network
+	if rec.EventsDropped != 0 {
+		t.Fatalf("event log dropped %d events", rec.EventsDropped)
+	}
+	var got, want [telemetry.NumEventKinds]uint64
+	for _, ev := range rec.Events {
+		got[ev.Kind]++
+	}
+	for _, sw := range append(append([]*switchsim.Switch{}, n.Leaves...), n.Spines...) {
+		want[telemetry.PauseOn] += sw.Stats.PauseSent
+		want[telemetry.PauseOff] += sw.Stats.ResumeSent
+		want[telemetry.Recirc] += sw.Stats.Recirced
+		want[telemetry.Drop] += sw.Stats.Dropped
+	}
+	for _, a := range n.Agents {
+		want[telemetry.WarnSet] += a.Stats.WarningsRcvd
+	}
+	for _, p := range n.Predictors {
+		want[telemetry.CNMSent] += p.Stats.Warnings
+	}
+	for _, r := range n.Relays {
+		want[telemetry.CNMRelay] += r.Stats.Relayed
+	}
+	for k := range got {
+		if got[k] != want[k] {
+			t.Errorf("%s: %d events, counters sum to %d", telemetry.EventKind(k), got[k], want[k])
+		}
+	}
+	if got[telemetry.PauseOn] == 0 || got[telemetry.CNMSent] == 0 || got[telemetry.WarnSet] == 0 {
+		t.Fatalf("pinned spec too quiet to reconcile: %v", got)
+	}
+}
+
 // TestTelemetryGoldenJSONL pins the exported JSONL byte-for-byte: probe set,
-// sample times, and every sampled value for the pinned spec at goldenSeed.
+// sample times, every sampled value, and every recorded event for the pinned
+// spec at goldenSeed.
 // Any diff means either the exporter format changed or the simulation's
 // observable state trajectory changed — both require a deliberate refresh
 // with -update-telemetry and a CHANGES.md note.
@@ -78,8 +123,9 @@ func TestTelemetryGoldenJSONL(t *testing.T) {
 	if res.Telemetry == nil {
 		t.Fatal("no recording")
 	}
-	if res.Telemetry.Dropped != 0 {
-		t.Fatalf("sampler dropped %d samples; capacity math is wrong", res.Telemetry.Dropped)
+	if res.Telemetry.Dropped != 0 || res.Telemetry.EventsDropped != 0 {
+		t.Fatalf("recording dropped %d samples, %d events; capacity math is wrong",
+			res.Telemetry.Dropped, res.Telemetry.EventsDropped)
 	}
 	var buf bytes.Buffer
 	if err := telemetry.WriteJSONL(&buf, res.Telemetry); err != nil {

@@ -24,18 +24,6 @@ func (k SchedulerKind) String() string {
 	return "calendar"
 }
 
-// SchedulerByName maps a CLI spelling to a SchedulerKind. It reports false
-// for names it does not know.
-func SchedulerByName(name string) (SchedulerKind, bool) {
-	switch name {
-	case "calendar":
-		return SchedCalendar, true
-	case "heap":
-		return SchedHeap, true
-	}
-	return SchedCalendar, false
-}
-
 // scheduler is the pluggable event queue behind an Engine. Implementations
 // must yield events in exact (at, seq) order — the determinism of every
 // figure rests on that contract, which the heap-vs-calendar property test

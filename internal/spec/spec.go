@@ -107,9 +107,6 @@ type Spec struct {
 	// ProbeUs, when nonzero, replaces oracle path telemetry with in-band
 	// probes at this interval (microseconds).
 	ProbeUs int `json:"probeUs,omitempty"`
-	// Scheduler names the event-queue implementation ("" or "calendar" =
-	// the calendar queue, "heap" = the reference binary heap).
-	Scheduler string `json:"scheduler,omitempty"`
 	// Strict enables the invariant checker's expensive tier.
 	Strict bool `json:"strict,omitempty"`
 	// Seeds is how many seeds an averaging runner should use (0 = 1). The
@@ -249,7 +246,7 @@ func (s Spec) DrainFloorUs() int {
 //
 // Fields outside the generator's sampled surface — the figure-only knobs
 // (Motiv, IncastReps, PFCOff, SelectiveRepeat, probes, telemetry, RLB
-// ablations, scheduler/strict/seeds overrides) — are cleared: the envelope's theorems
+// ablations, strict/seeds overrides) — are cleared: the envelope's theorems
 // (losslessness, completion) are calibrated without them, and the property
 // runner supplies its own strictness and scheduler choices. Figure grids
 // deliberately live outside this envelope and are never normalized.
@@ -262,7 +259,6 @@ func (s Spec) Normalize() Spec {
 	s.NoRecirc, s.NoOrderGuard = false, false
 	s.QthFracPct, s.DeltaTNs = 0, 0
 	s.LinkDelayNs = 0
-	s.Scheduler = ""
 	s.Strict = false
 	s.Seeds = 0
 	s.Telemetry = nil
@@ -382,9 +378,6 @@ func (s Spec) Params() string {
 	}
 	if s.ProbeUs > 0 {
 		out += fmt.Sprintf(" probe=%dus", s.ProbeUs)
-	}
-	if s.Scheduler != "" {
-		out += " sched=" + s.Scheduler
 	}
 	if s.Telemetry != nil {
 		out += fmt.Sprintf(" telem=%dus", s.Telemetry.SampleUs)

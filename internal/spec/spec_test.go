@@ -23,7 +23,7 @@ func fullSpec() Spec {
 		},
 		NoRecirc: true, NoOrderGuard: true, QthFracPct: 40, DeltaTNs: 2500,
 		PFCOff: true, SelectiveRepeat: true,
-		ProbeUs: 100, Scheduler: "heap", Strict: true, Seeds: 3,
+		ProbeUs: 100, Strict: true, Seeds: 3,
 		Motiv:        &MotivSpec{Spines: 5, Hosts: 2, SprayPaths: 3, Bursts: 4, BgLoadPct: 55},
 		LeakPutEvery: 9,
 	}
@@ -140,7 +140,7 @@ func TestNormalizeClearsFigureOnlyKnobs(t *testing.T) {
 	n := fullSpec().Normalize()
 	if n.Motiv != nil || n.IncastReps != 0 || n.PFCOff || n.SelectiveRepeat ||
 		n.ProbeUs != 0 || n.NoRecirc || n.NoOrderGuard || n.QthFracPct != 0 ||
-		n.DeltaTNs != 0 || n.LinkDelayNs != 0 || n.Scheduler != "" || n.Strict || n.Seeds != 0 {
+		n.DeltaTNs != 0 || n.LinkDelayNs != 0 || n.Strict || n.Seeds != 0 {
 		t.Fatalf("figure-only knobs survived Normalize: %+v", n)
 	}
 	if n.DrainUs < n.DrainFloorUs() {

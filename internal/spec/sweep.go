@@ -193,8 +193,6 @@ func (s *Spec) SetStr(field, v string) error {
 		s.Scheme = v
 	case "workload":
 		s.Workload = v
-	case "scheduler":
-		s.Scheduler = v
 	default:
 		return fmt.Errorf("unknown string field %q", field)
 	}

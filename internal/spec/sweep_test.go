@@ -160,9 +160,8 @@ func TestSetIntCoversEveryIntField(t *testing.T) {
 func TestSetStr(t *testing.T) {
 	var s Spec
 	for field, read := range map[string]func() string{
-		"scheme":    func() string { return s.Scheme },
-		"workload":  func() string { return s.Workload },
-		"scheduler": func() string { return s.Scheduler },
+		"scheme":   func() string { return s.Scheme },
+		"workload": func() string { return s.Workload },
 	} {
 		if err := s.SetStr(field, "x"); err != nil {
 			t.Fatalf("SetStr(%q): %v", field, err)

@@ -15,7 +15,7 @@ import (
 	"github.com/rlb-project/rlb/internal/invariant"
 	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
-	"github.com/rlb-project/rlb/internal/trace"
+	"github.com/rlb-project/rlb/internal/telemetry"
 )
 
 // Config holds the switch data-plane parameters. Defaults follow the paper's
@@ -99,7 +99,7 @@ type Stats struct {
 	CNMSent     uint64 // RLB warnings generated by the local predictor
 	CNMRelayed  uint64 // RLB warnings propagated hop-by-hop
 	Recirced    uint64 // data frames recirculated
-	Dropped     uint64 // shared-pool overflow drops
+	Dropped     uint64 // shared-pool overflow and router drops
 	DataIn      uint64
 	PeakShared  int
 	PeakIngress int
@@ -146,8 +146,9 @@ type Switch struct {
 	// the port count so collecting upstreams never allocates.
 	upsScratch []int
 
-	// Trace, when attached, records data-plane events (see internal/trace).
-	Trace *trace.Buffer
+	// Events, when attached, records the switch's control-plane events and
+	// those of the RLB components on it (see RecordEvent).
+	Events *telemetry.EventLog
 
 	// Pool, when attached, supplies the switch's self-originated control
 	// frames (PAUSE/RESUME/CNM) from the simulation's packet free list. Nil
@@ -282,10 +283,7 @@ func (sw *Switch) receiveData(pkt *fabric.Packet, inPort int) {
 		if sw.Cfg.PFCEnabled {
 			sw.Checker.PFCDrop(sw.Eng.Now(), sw.ID, sw.sharedUsed)
 		}
-		if sw.Trace != nil {
-			sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.Drop, Dev: sw.ID,
-				Port: inPort, Flow: pkt.FlowID, Seq: pkt.Seq, Aux: sw.sharedUsed})
-		}
+		sw.RecordEvent(telemetry.Drop, inPort, pkt.FlowID, pkt.Seq, sw.sharedUsed)
 		fabric.Release(pkt)
 		return
 	}
@@ -293,10 +291,6 @@ func (sw *Switch) receiveData(pkt *fabric.Packet, inPort int) {
 	sw.Checker.PoolBounds(sw.Eng.Now(), sw.ID, sw.sharedUsed, sw.Cfg.BufferBytes)
 	if sw.sharedUsed > sw.Stats.PeakShared {
 		sw.Stats.PeakShared = sw.sharedUsed
-	}
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.DataArrive, Dev: sw.ID,
-			Port: inPort, Flow: pkt.FlowID, Seq: pkt.Seq, Aux: sw.ingressBytes[inPort]})
 	}
 	sw.ingressBytes[inPort] += pkt.Size
 	if sw.ingressBytes[inPort] > sw.Stats.PeakIngress {
@@ -348,16 +342,14 @@ func (sw *Switch) routeData(pkt *fabric.Packet, inPort int) {
 	if dec.Drop {
 		sw.release(pkt)
 		sw.Stats.Dropped++
+		sw.RecordEvent(telemetry.Drop, inPort, pkt.FlowID, pkt.Seq, sw.sharedUsed)
 		fabric.Release(pkt)
 		return
 	}
 	if dec.Recirculate {
 		sw.Stats.Recirced++
 		pkt.Recirc++
-		if sw.Trace != nil {
-			sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.Recirculate, Dev: sw.ID,
-				Port: inPort, Flow: pkt.FlowID, Seq: pkt.Seq, Aux: pkt.Recirc})
-		}
+		sw.RecordEvent(telemetry.Recirc, inPort, pkt.FlowID, pkt.Seq, pkt.Recirc)
 		delay := dec.RecircDelay
 		if delay <= 0 {
 			delay = sim.Microsecond
@@ -393,14 +385,18 @@ func (sw *Switch) maybeMark(pkt *fabric.Packet, out *fabric.Port) {
 	}
 }
 
+// RecordEvent logs one event at this switch when an event log is attached.
+func (sw *Switch) RecordEvent(kind telemetry.EventKind, port int, flow, seq uint32, aux int) {
+	if sw.Events != nil {
+		sw.Events.Record(telemetry.Event{At: sw.Eng.Now(), Kind: kind, Dev: sw.ID,
+			Port: port, Flow: flow, Seq: seq, Aux: aux})
+	}
+}
+
 // onTxDone releases buffer accounting when a data frame finishes leaving.
 func (sw *Switch) onTxDone(pkt *fabric.Packet) {
 	if pkt.Type != fabric.Data {
 		return
-	}
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.DataDepart, Dev: sw.ID,
-			Port: pkt.InPort, Flow: pkt.FlowID, Seq: pkt.Seq})
 	}
 	sw.release(pkt)
 }
@@ -477,10 +473,7 @@ func (sw *Switch) checkPFC(in int) {
 }
 
 func (sw *Switch) sendPause(in int) {
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.PauseOn, Dev: sw.ID,
-			Port: in, Aux: sw.ingressBytes[in]})
-	}
+	sw.RecordEvent(telemetry.PauseOn, in, 0, 0, sw.ingressBytes[in])
 	pause := sw.Pool.Control(fabric.Pause, sw.ID, -1)
 	pause.Pause = fabric.PauseInfo{Prio: fabric.PrioData, Dur: sw.Cfg.PauseDur}
 	sw.ports[in].Stats.PauseTx++
@@ -499,10 +492,7 @@ func (sw *Switch) checkResume(in int) {
 	sw.pauseActive[in] = false
 	sw.refreshTimer[in].Stop()
 	sw.refreshTimer[in] = sim.Timer{}
-	if sw.Trace != nil {
-		sw.Trace.Add(trace.Event{At: sw.Eng.Now(), Kind: trace.PauseOff, Dev: sw.ID,
-			Port: in, Aux: sw.ingressBytes[in]})
-	}
+	sw.RecordEvent(telemetry.PauseOff, in, 0, 0, sw.ingressBytes[in])
 	resume := sw.Pool.Control(fabric.Resume, sw.ID, -1)
 	resume.Pause = fabric.PauseInfo{Prio: fabric.PrioData}
 	sw.Stats.ResumeSent++

@@ -13,14 +13,19 @@ import (
 
 // WriteJSONL writes the recording as JSON Lines: one header object
 //
-//	{"intervalPs":N,"samples":M,"dropped":D,"probes":["a","b",...]}
+//	{"intervalPs":N,"samples":M,"dropped":D,"events":E,"eventsDropped":X,"probes":["a","b",...]}
 //
 // followed by one object per tick
 //
 //	{"tPs":T,"v":[v0,v1,...]}
 //
-// where v is parallel to the header's probes array. Timestamps and the
-// interval are in picoseconds, the simulator's native resolution.
+// where v is parallel to the header's probes array, and then one object per
+// recorded event
+//
+//	{"tPs":T,"ev":"PAUSE_ON","dev":D,"port":P,"flow":F,"seq":S,"aux":A}
+//
+// Timestamps and the interval are in picoseconds, the simulator's native
+// resolution.
 func WriteJSONL(w io.Writer, rec *Recording) error {
 	bw := bufio.NewWriter(w)
 	buf := make([]byte, 0, 64)
@@ -31,6 +36,10 @@ func WriteJSONL(w io.Writer, rec *Recording) error {
 	bw.Write(strconv.AppendInt(buf, int64(len(rec.Times)), 10))
 	bw.WriteString(`,"dropped":`)
 	bw.Write(strconv.AppendInt(buf, int64(rec.Dropped), 10))
+	bw.WriteString(`,"events":`)
+	bw.Write(strconv.AppendInt(buf, int64(len(rec.Events)), 10))
+	bw.WriteString(`,"eventsDropped":`)
+	bw.Write(strconv.AppendInt(buf, int64(rec.EventsDropped), 10))
 	bw.WriteString(`,"probes":[`)
 	for j, name := range rec.Names {
 		if j > 0 {
@@ -52,11 +61,29 @@ func WriteJSONL(w io.Writer, rec *Recording) error {
 		}
 		bw.WriteString("]}\n")
 	}
+
+	for _, ev := range rec.Events {
+		bw.WriteString(`{"tPs":`)
+		bw.Write(strconv.AppendInt(buf, int64(ev.At), 10))
+		bw.WriteString(`,"ev":"`)
+		bw.WriteString(ev.Kind.String())
+		bw.WriteString(`","dev":`)
+		bw.Write(strconv.AppendInt(buf, int64(ev.Dev), 10))
+		bw.WriteString(`,"port":`)
+		bw.Write(strconv.AppendInt(buf, int64(ev.Port), 10))
+		bw.WriteString(`,"flow":`)
+		bw.Write(strconv.AppendUint(buf, uint64(ev.Flow), 10))
+		bw.WriteString(`,"seq":`)
+		bw.Write(strconv.AppendUint(buf, uint64(ev.Seq), 10))
+		bw.WriteString(`,"aux":`)
+		bw.Write(strconv.AppendInt(buf, int64(ev.Aux), 10))
+		bw.WriteString("}\n")
+	}
 	return bw.Flush()
 }
 
-// WriteCSV writes the recording in wide form: a header row
-// "t_ps,<probe>,<probe>,..." and one row per tick. Probe names are quoted
+// WriteCSV writes the recording's series (not its events) in wide form: a
+// header row "t_ps,<probe>,<probe>,..." and one row per tick. Probe names are quoted
 // only when they contain a comma or quote (they normally do not: the wiring
 // layer uses '/'-separated names).
 func WriteCSV(w io.Writer, rec *Recording) error {

@@ -17,8 +17,9 @@ type Sampler struct {
 	eng      *sim.Engine
 	interval sim.Time
 
-	names []string
-	fns   []func() int64
+	names  []string
+	fns    []func() int64
+	events *EventLog // nil when no event log was requested
 
 	times []sim.Time
 	cols  [][]int64 // cols[j][i] = probe j at tick i; parallel to names
@@ -47,6 +48,7 @@ func NewSampler(eng *sim.Engine, reg *Registry, interval sim.Time, capacity int)
 		fns:      make([]func() int64, len(reg.probes)),
 		times:    make([]sim.Time, capacity),
 		cols:     make([][]int64, len(reg.probes)),
+		events:   reg.events,
 	}
 	for j, p := range reg.probes {
 		s.names[j] = p.Name
@@ -109,18 +111,21 @@ func (s *Sampler) Samples() int { return s.n }
 // Dropped returns the number of ticks discarded because capacity was reached.
 func (s *Sampler) Dropped() int { return s.drop }
 
-// Recording is an immutable view of a sampler's recorded series, the form
-// carried on harness results and consumed by the exporters.
+// Recording is an immutable view of a sampler's recorded series and events,
+// the form carried on harness results and consumed by the exporters.
 type Recording struct {
-	Interval sim.Time   // tick spacing
-	Names    []string   // probe names, registration order
-	Times    []sim.Time // tick timestamps, length == number of ticks
-	Series   [][]int64  // Series[j][i] = probe j at tick i; parallel to Names
-	Dropped  int        // ticks lost to capacity
+	Interval      sim.Time   // tick spacing
+	Names         []string   // probe names, registration order
+	Times         []sim.Time // tick timestamps, length == number of ticks
+	Series        [][]int64  // Series[j][i] = probe j at tick i; parallel to Names
+	Dropped       int        // ticks lost to capacity
+	Events        []Event    // the first EventCap events, in emission order
+	EventsDropped int        // events lost to EventCap
 }
 
-// Recording snapshots the recorded series. The returned slices alias the
-// sampler's buffers truncated to the recorded length; call after Stop.
+// Recording snapshots the recorded series and events. The returned slices
+// alias the sampler's buffers truncated to the recorded length; call after
+// Stop.
 func (s *Sampler) Recording() *Recording {
 	rec := &Recording{
 		Interval: s.interval,
@@ -131,6 +136,10 @@ func (s *Sampler) Recording() *Recording {
 	}
 	for j, col := range s.cols {
 		rec.Series[j] = col[:s.n]
+	}
+	if s.events != nil {
+		rec.Events = s.events.buf[:s.events.n]
+		rec.EventsDropped = s.events.drop
 	}
 	return rec
 }

@@ -1,6 +1,8 @@
 // Package telemetry is the simulator's run-time observability layer: named
 // probes sampled periodically on the simulation clock into fixed-capacity,
-// preallocated series buffers, exportable as JSONL or CSV.
+// preallocated series buffers, plus a log of the control-plane events the
+// switches and RLB components emit (PFC pauses, drops, recirculations, CNM
+// warnings), exportable as JSONL (series and events) or CSV (series).
 //
 // The paper's evaluation is built on time-series evidence — queue build-up
 // and PFC pause propagation over time (Figs. 1–2), OOD degree, throughput
@@ -19,12 +21,14 @@
 //     once at construction; each tick performs indexed stores only, and the
 //     rearm reuses the engine's pooled event structs. The hotpath analyzer
 //     covers Sampler.OnEvent like any other event handler, and a benchmark
-//     asserts 0 allocs/op.
+//     asserts 0 allocs/op. Recording an event is likewise one indexed store
+//     into the preallocated EventLog.
 //
 // The topology layer registers the standard probe set (switch shared-pool
 // occupancy, per-port queue depth and pause state, DCQCN rates, per-host
-// sender state, RLB counters) via topo.AttachTelemetry; the harness attaches
-// the recorded series to its Result when RunConfig.Telemetry is set.
+// sender state, RLB counters) and points every switch at the registry's
+// event log via topo.AttachTelemetry; the harness attaches the recorded
+// series and events to its Result when RunConfig.Telemetry is set.
 package telemetry
 
 import "fmt"
@@ -37,12 +41,14 @@ type Probe struct {
 	Fn   func() int64
 }
 
-// Registry holds the probe set for one simulation in registration order.
-// Registration is a cold-path, construction-time activity; the set must be
-// complete before a Sampler is built from it.
+// Registry holds the probe set for one simulation in registration order,
+// and its event log once one is requested. Registration is a cold-path,
+// construction-time activity; the set must be complete before a Sampler is
+// built from it.
 type Registry struct {
 	probes []Probe
 	names  map[string]bool
+	events *EventLog
 }
 
 // NewRegistry returns an empty registry.
@@ -62,6 +68,16 @@ func (r *Registry) Register(name string, fn func() int64) {
 	}
 	r.names[name] = true
 	r.probes = append(r.probes, Probe{Name: name, Fn: fn})
+}
+
+// Events returns the simulation's event log, allocating it on first use.
+// Like the probe set, it must be requested before the Sampler is built: the
+// Sampler's Recording carries the log it saw at construction.
+func (r *Registry) Events() *EventLog {
+	if r.events == nil {
+		r.events = newEventLog()
+	}
+	return r.events
 }
 
 // Len returns the number of registered probes.

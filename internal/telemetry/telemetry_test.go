@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"github.com/rlb-project/rlb/internal/sim"
 )
@@ -39,6 +40,7 @@ func TestSamplerRecordsAtInterval(t *testing.T) {
 	r := NewRegistry()
 	r.Register("v", func() int64 { return v })
 	r.Register("2v", func() int64 { return 2 * v })
+	r.Events().Record(Event{Kind: PauseOn, Dev: 4})
 
 	s := NewSampler(eng, r, 10*sim.Microsecond, 16)
 	s.Start() // tick at t=0
@@ -66,6 +68,9 @@ func TestSamplerRecordsAtInterval(t *testing.T) {
 	}
 	if rec.Dropped != 0 {
 		t.Fatalf("Dropped = %d, want 0", rec.Dropped)
+	}
+	if len(rec.Events) != 1 || rec.Events[0].Dev != 4 {
+		t.Fatalf("Events = %v, want the one recorded PAUSE_ON", rec.Events)
 	}
 }
 
@@ -112,14 +117,19 @@ func TestWriteJSONL(t *testing.T) {
 		Times:    []sim.Time{0, 10 * sim.Microsecond},
 		Series:   [][]int64{{100, 200}, {0, 42}},
 		Dropped:  1,
+		Events: []Event{{At: 3 * sim.Microsecond, Kind: Recirc, Dev: 4, Port: 2, Flow: 7, Seq: 11, Aux: 1},
+			{At: 4 * sim.Microsecond, Kind: WarnSet, Dev: 5, Port: 1, Aux: 3}},
+		EventsDropped: 9,
 	}
 	var b bytes.Buffer
 	if err := WriteJSONL(&b, rec); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"intervalPs":10000000,"samples":2,"dropped":1,"probes":["leaf0/shared","host1/una"]}
+	want := `{"intervalPs":10000000,"samples":2,"dropped":1,"events":2,"eventsDropped":9,"probes":["leaf0/shared","host1/una"]}
 {"tPs":0,"v":[100,0]}
 {"tPs":10000000,"v":[200,42]}
+{"tPs":3000000,"ev":"RECIRC","dev":4,"port":2,"flow":7,"seq":11,"aux":1}
+{"tPs":4000000,"ev":"WARN_SET","dev":5,"port":1,"flow":0,"seq":0,"aux":3}
 `
 	if b.String() != want {
 		t.Fatalf("JSONL mismatch:\ngot:\n%swant:\n%s", b.String(), want)
@@ -179,6 +189,100 @@ func TestSamplerTickAllocs(t *testing.T) {
 		t.Fatalf("sampler tick allocates %.2f allocs/op in steady state, want 0", avg)
 	}
 	s.Stop()
+}
+
+// TestEventLogKeepsFirstProperty: after n records into a log of capacity c,
+// the log holds the first min(n, c) events in order and counts the rest as
+// dropped.
+func TestEventLogKeepsFirstProperty(t *testing.T) {
+	prop := func(cRaw, nRaw uint8) bool {
+		c := int(cRaw%32) + 1
+		n := int(nRaw)
+		l := &EventLog{buf: make([]Event, c)}
+		for i := 0; i < n; i++ {
+			l.Record(Event{Seq: uint32(i)})
+		}
+		kept := min(n, c)
+		if l.n != kept || l.drop != n-kept {
+			return false
+		}
+		for i, e := range l.buf[:l.n] {
+			if e.Seq != uint32(i) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEventLogKeepsFirstN: once a log is over-filled it holds exactly its
+// first capacity events, in order, and counts every later one as dropped.
+func TestEventLogKeepsFirstN(t *testing.T) {
+	l := &EventLog{buf: make([]Event, 4)}
+	for i := 0; i < 10; i++ {
+		l.Record(Event{Kind: Recirc, Seq: uint32(i)})
+	}
+	if l.n != 4 || l.drop != 6 {
+		t.Fatalf("kept %d dropped %d, want 4 and 6", l.n, l.drop)
+	}
+	for i, e := range l.buf[:l.n] {
+		if e.Seq != uint32(i) {
+			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, i)
+		}
+	}
+}
+
+// TestEventLogPartialFill: a log given fewer events than its capacity keeps
+// all of them, in order, and drops none.
+func TestEventLogPartialFill(t *testing.T) {
+	l := &EventLog{buf: make([]Event, 8)}
+	for i := 0; i < 3; i++ {
+		l.Record(Event{Kind: PauseOn, Dev: i})
+	}
+	if l.n != 3 || l.drop != 0 {
+		t.Fatalf("kept %d dropped %d, want 3 and 0", l.n, l.drop)
+	}
+	for i, e := range l.buf[:l.n] {
+		if e.Dev != i || e.Kind != PauseOn {
+			t.Fatalf("event %d = %+v, want PAUSE_ON on dev %d", i, e, i)
+		}
+	}
+}
+
+// TestRecordEventAllocs is the 0 allocs/op assertion for the event record
+// path, both while the log has room and once it is full.
+func TestRecordEventAllocs(t *testing.T) {
+	l := newEventLog()
+	ev := Event{At: sim.Microsecond, Kind: CNMSent, Dev: 3, Port: 1, Aux: 4000}
+	if avg := testing.AllocsPerRun(EventCap+100, func() { l.Record(ev) }); avg != 0 {
+		t.Fatalf("recording an event allocates %.2f allocs/op, want 0", avg)
+	}
+	if l.drop == 0 {
+		t.Fatal("log never filled; the full-log path went untested")
+	}
+}
+
+func TestEventKindStrings(t *testing.T) {
+	for k := EventKind(0); k < NumEventKinds; k++ {
+		if k.String() == "" || strings.HasPrefix(k.String(), "Kind(") {
+			t.Fatalf("kind %d missing name", k)
+		}
+	}
+	if EventKind(99).String() != "Kind(99)" {
+		t.Fatal("unknown kind formatting")
+	}
+}
+
+// TestEventString pins the one-line event format rlbsim -trace prints.
+func TestEventString(t *testing.T) {
+	got := Event{At: 5 * sim.Microsecond, Kind: Recirc, Dev: 3, Port: 12, Flow: 9, Seq: 40, Aux: 1}.String()
+	want := "5us          RECIRC      dev=3    port=12  flow=9      seq=40     aux=1"
+	if got != want {
+		t.Fatalf("Event.String() =\n%q, want\n%q", got, want)
+	}
 }
 
 func BenchmarkSamplerTick(b *testing.B) {

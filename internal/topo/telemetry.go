@@ -10,9 +10,12 @@ import (
 
 // AttachTelemetry registers the network's standard probe set on reg: the
 // per-switch and per-port congestion signals the paper's timeline figures
-// are drawn from, plus host transport and RLB agent state. Registration is
-// cold-path (construction time); every probe body is a read-only fold over
-// existing counters, so sampling can never perturb the run.
+// are drawn from, plus host transport and RLB agent state. It also points
+// every switch at reg's event log, so PFC, drop, recirculation and CNM
+// events are recorded alongside the series. Registration is cold-path
+// (construction time); every probe body is a read-only fold over existing
+// counters, and recording an event writes only to the log, so neither can
+// perturb the run.
 //
 // Probe naming: `leaf<i>/...` and `spine<i>/...` for switches, with
 // per-port series under `/p<j>/`; `host<i>/...` for transports;
@@ -47,8 +50,10 @@ func (n *Network) AttachTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// attachSwitch registers one switch's shared-pool, PFC, and per-port series.
+// attachSwitch registers one switch's shared-pool, PFC, and per-port series
+// and attaches the event log.
 func attachSwitch(reg *telemetry.Registry, name string, sw *switchsim.Switch) {
+	sw.Events = reg.Events()
 	reg.Register(name+"/shared", func() int64 { return int64(sw.SharedUsed()) })
 	reg.Register(name+"/pauses", func() int64 { return int64(sw.Stats.PauseSent) })
 	reg.Register(name+"/recirced", func() int64 { return int64(sw.Stats.Recirced) })

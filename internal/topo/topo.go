@@ -16,7 +16,6 @@ import (
 	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/switchsim"
-	"github.com/rlb-project/rlb/internal/trace"
 	"github.com/rlb-project/rlb/internal/transport"
 	"github.com/rlb-project/rlb/internal/units"
 )
@@ -45,10 +44,6 @@ type Params struct {
 	AsymFraction float64
 	AsymRate     units.Bandwidth
 
-	// Trace, when non-nil, is attached to every switch so the simulation
-	// records data-plane and RLB events (see internal/trace).
-	Trace *trace.Buffer
-
 	// ProbeInterval, when non-zero, replaces the oracle path telemetry with
 	// real probe frames: each leaf measures per-uplink RTTs in band and the
 	// load balancers see EWMA'd estimates instead of instantaneous queue
@@ -62,7 +57,7 @@ type Params struct {
 
 	// Scheduler selects the engine's event-queue implementation; the zero
 	// value is the default calendar queue. SchedHeap keeps the reference
-	// binary heap for A/B debugging (rlbsim -sched).
+	// binary heap for the scenario fuzzer's scheduler-equivalence property.
 	Scheduler sim.SchedulerKind
 
 	Seed uint64
@@ -124,9 +119,13 @@ func (n *Network) HostsOfLeaf(l int) []int {
 // LeafOf returns the leaf index of a host id.
 func (n *Network) LeafOf(host int) int { return host / n.P.HostsPerLeaf }
 
+// MaxSpines is the widest fabric Build accepts: uplink exclusion sets
+// (lb.PathSet) are 64-bit masks.
+const MaxSpines = 64
+
 // Build constructs the fabric.
 func Build(p Params) *Network {
-	if p.Leaves < 1 || p.Spines < 1 || p.Spines > 64 || p.HostsPerLeaf < 1 {
+	if p.Leaves < 1 || p.Spines < 1 || p.Spines > MaxSpines || p.HostsPerLeaf < 1 {
 		panic(fmt.Sprintf("topo: invalid dimensions %dx%d/%d", p.Leaves, p.Spines, p.HostsPerLeaf))
 	}
 	if p.LB == nil {
@@ -157,14 +156,12 @@ func Build(p Params) *Network {
 	// uplinks. Spine ports: one per leaf.
 	for l := 0; l < p.Leaves; l++ {
 		sw := switchsim.New(eng, leafID(l), p.HostsPerLeaf+p.Spines, p.Switch, n.rng.Fork())
-		sw.Trace = p.Trace
 		sw.Checker = p.Checker
 		sw.Pool = n.pool
 		n.Leaves = append(n.Leaves, sw)
 	}
 	for s := 0; s < p.Spines; s++ {
 		sw := switchsim.New(eng, spineID(s), p.Leaves, p.Switch, n.rng.Fork())
-		sw.Trace = p.Trace
 		sw.Checker = p.Checker
 		sw.Pool = n.pool
 		n.Spines = append(n.Spines, sw)

@@ -15,8 +15,10 @@
 #                    committed corpus + repro fixture decode (TESTING.md
 #                    "Spec round-trip tier")
 #   6. telemetry   — observation-only contract: fingerprints bit-identical
-#                    with sampling on/off, JSONL golden byte-stable, sampler
-#                    tick allocation-free (TESTING.md "Telemetry tier")
+#                    with sampling and events on/off, JSONL golden (series
+#                    and events) byte-stable, event counts reconciled with
+#                    run counters, sampler tick and event record
+#                    allocation-free (TESTING.md "Telemetry tier")
 #   7. fuzz smoke  — metamorphic scenario sweep + seeded-breach meta-test +
 #                    time-boxed mutating fuzz over the committed corpus
 #   8. bench pass  — one pass of every benchmark workload (bench/README.md);
@@ -63,8 +65,9 @@ make spec-verify
 
 # The telemetry tests also ran inside `go test ./...`; the dedicated tier
 # re-runs them uncached so a cached pass can never mask a drifted telemetry
-# golden, a fingerprint divergence, or a sampler tick that started allocating.
-echo "==> telemetry verify (on/off parity, JSONL golden, zero-alloc tick)"
+# golden, a fingerprint divergence, an event count that no longer matches its
+# counter, or a sampler tick or event record that started allocating.
+echo "==> telemetry verify (on/off parity, JSONL golden with events, zero-alloc tick and record)"
 make telemetry-verify
 
 # The deterministic halves of the fuzz tier (sweep + meta-test) already ran
