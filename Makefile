@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race race-short vet lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden bench bench-smoke fuzz-smoke fuzz cover clean ci
+.PHONY: all build test short race race-short vet lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden bench bench-smoke examples fuzz-smoke fuzz cover clean ci
 
 all: build lint test
 
@@ -82,14 +82,22 @@ simlint:
 
 # Spec-layer verification tier (TESTING.md "Spec round-trip tier"): the
 # canonical-spec contracts in one command — JSON round trips byte-stable with
-# unknown fields rejected, the compiler's unit math pinned to harness.Scale,
-# the declarative figure grids pinned to their golden, a serialized cell
-# replaying bit-identically, and every committed fuzz-corpus entry and repro
-# fixture still decoding.
+# unknown fields rejected, the compiler's thresholds, fabric params and fault
+# schedules pinned to literal values, the declarative figure grids pinned to
+# their golden, a serialized cell replaying bit-identically, and every
+# committed fuzz-corpus entry and repro fixture still decoding.
 spec-verify:
 	$(GO) test -count=1 ./internal/spec/
 	$(GO) test -count=1 -run 'TestCompile|TestFigureGrids' ./internal/harness/
 	$(GO) test -count=1 -run 'TestCommittedCorpusStillDecodes|TestCommittedReproStillReplays' ./internal/scenario/
+
+# Run every examples/* main (~2 s); fails on the first non-zero exit. The
+# examples' stdout is discarded: they are smoke runs of the public API here.
+examples:
+	@for d in examples/*/; do \
+		echo "    $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # Full CI sequence: build → lint → race smoke → full suite with goldens.
 ci:

@@ -247,7 +247,7 @@ func main() {
 	}
 
 	if nSeeds > 1 {
-		runAveraged(s, nSeeds)
+		printAveraged(s, nSeeds)
 		return
 	}
 
@@ -348,40 +348,28 @@ func writeTelemetry(path string, rec *telemetry.Recording) error {
 	return telemetry.WriteJSONL(f, rec)
 }
 
-// runAveraged executes the spec at n consecutive seed offsets (the CLI's
-// historical stride of 1000) and prints the averaged headline metrics.
-func runAveraged(s spec.Spec, n int) {
-	var cfgs []harness.RunConfig
-	for i := 0; i < n; i++ {
-		c := s.Clone()
-		c.SimSeed = s.SimSeed + uint64(i)*1000
-		cfg, err := harness.Compile(c)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "rlbsim:", err)
-			os.Exit(2)
-		}
-		cfgs = append(cfgs, cfg)
+// printAveraged runs the spec at n seed offsets through the same averaging
+// engine as the figure grids (harness.RunSpecsAveraged, same seed stride),
+// so a dumped figure cell replayed with -seeds reproduces its averaged value.
+func printAveraged(s spec.Spec, n int) {
+	ms, err := harness.RunSpecsAveraged([]spec.Spec{s}, n)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "rlbsim:", err)
+		os.Exit(2)
 	}
-	results := harness.RunAll(cfgs)
-	var afct, p50, p99, ooo metrics.Digest
-	for _, res := range results {
-		afct.Add(res.Report.AvgFCTms())
-		p50.Add(res.Report.FCT.Percentile(50))
-		p99.Add(res.Report.TailFCTms())
-		ooo.Add(100 * res.Report.OOORatio())
-	}
+	m := ms[0]
 	fmt.Printf("scheme=%s workload=%s load=%.2f seeds=%d\n", s.Scheme, s.Workload, float64(s.LoadPct)/100, n)
-	fmt.Printf("avg over seeds: afct=%.4gms p50=%.4gms p99=%.4gms ooo=%.3g%%\n",
-		afct.Mean(), p50.Mean(), p99.Mean(), ooo.Mean())
-	var viol, lost uint64
-	for _, res := range results {
-		viol += uint64(len(res.Violations))
-		lost += res.WireLost
+	if s.IncastReps > 0 {
+		fmt.Printf("avg over seeds: ooo=%.3g%% ict=%.4gms (%d/%d initiations finished)\n",
+			100*m.OOORatio, m.ICTms, m.Finished, m.Initiations)
+	} else {
+		fmt.Printf("avg over seeds: afct=%.4gms p50=%.4gms p99=%.4gms ooo=%.3g%%\n",
+			m.AFCT, m.P50, m.P99, m.OOOPct)
 	}
-	if viol > 0 {
-		fmt.Printf("INVARIANT VIOLATIONS: %d across %d seeds (rerun with -seeds 1 for detail)\n", viol, n)
+	if m.Violations > 0 {
+		fmt.Printf("INVARIANT VIOLATIONS: %d across %d seeds (rerun with -seeds 1 for detail)\n", m.Violations, n)
 	} else if s.Strict {
-		fmt.Printf("invariants: ok across %d seeds (strict); %d frames lost on the wire\n", n, lost)
+		fmt.Printf("invariants: ok across %d seeds (strict)\n", n)
 	}
 }
 

@@ -2,12 +2,16 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"github.com/rlb-project/rlb/internal/harness"
+	"github.com/rlb-project/rlb/internal/spec"
 )
 
 // runMainEnv, when set, makes the test binary run rlbsim's main() with its
@@ -108,5 +112,38 @@ func TestDumpSpecReplays(t *testing.T) {
 	wall := regexp.MustCompile(`(?m)^wall:.*$`)
 	if a, b := wall.ReplaceAllString(fromFlags, ""), wall.ReplaceAllString(fromSpec, ""); a != b {
 		t.Fatalf("replayed spec diverged:\nflags:\n%s\nspec:\n%s", a, b)
+	}
+}
+
+// TestSeedsAverageMatchesFigureEngine replays a spec file with -seeds 2: the
+// averaged AFCT and p99 must be the ones harness.RunSpecsAveraged returns for
+// that spec, so a dumped figure cell reproduces its figure value.
+func TestSeedsAverageMatchesFigureEngine(t *testing.T) {
+	s := spec.Spec{
+		SimSeed: 3, Leaves: 2, Spines: 2, HostsPerLeaf: 2, LinkGbps: 10,
+		Scheme: "drill+rlb", Workload: "websearch", LoadPct: 50,
+		MaxFlowKB: 100, DurationUs: 200, DrainUs: 2000,
+	}
+	data, err := spec.Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tiny.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, code := rlbsim(t, "-spec", path, "-seeds", "2")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	ms, err := harness.RunSpecsAveraged([]spec.Spec{s}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ms[0]
+	want := fmt.Sprintf("avg over seeds: afct=%.4gms p50=%.4gms p99=%.4gms ooo=%.3g%%\n",
+		m.AFCT, m.P50, m.P99, m.OOOPct)
+	if !strings.Contains(out, want) {
+		t.Fatalf("averaged output does not match RunSpecsAveraged:\nwant line %q\ngot:\n%s", want, out)
 	}
 }

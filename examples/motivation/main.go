@@ -12,23 +12,20 @@ import (
 	"os"
 
 	"github.com/rlb-project/rlb/internal/harness"
-	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/spec"
-	"github.com/rlb-project/rlb/internal/units"
 )
 
 func main() {
-	scale := harness.Scale{
-		Name: "example", LinkRate: 10 * units.Gbps, LinkDelay: 2 * sim.Microsecond,
-		Duration: 3 * sim.Millisecond, Drain: 9 * sim.Millisecond,
-		MaxFlowBytes: 2_000_000,
-		MotivSpines:  8, MotivHosts: 10,
-	}
-	// One motivation-kind cell per scheme x PFC setting: the congested flow
-	// sprays over 5 paths, with 2 burst waves, all at seed 42.
+	// One motivation-kind cell per scheme x PFC setting: 8 parallel paths,
+	// 10 background pairs, the congested flow sprayed over 5 paths, 2 burst
+	// waves, all at seed 42. The Motiv block derives the two-leaf topology.
 	cells, results, err := harness.RunGrid(spec.Grid{
 		Name: "motivation",
-		Base: scale.MotivSpec(42, 5, 2),
+		Base: spec.Spec{
+			SimSeed: 42, LinkGbps: 10, MaxFlowKB: 2000,
+			DurationUs: 3000, DrainUs: 9000,
+			Motiv: &spec.MotivSpec{Spines: 8, Hosts: 10, SprayPaths: 5, Bursts: 2},
+		},
 		Axes: []spec.Axis{
 			{Field: "scheme", Strs: []string{"presto", "letflow", "hermes", "drill"}},
 			{Field: "pfcOff", Ints: []int{0, 1}},

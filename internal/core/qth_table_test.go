@@ -25,7 +25,7 @@ func TestWarningThresholdRange(t *testing.T) {
 		{"paper-n1", 2 * sim.Microsecond, 40 * units.Gbps, 256000, 1, 10000, 256000},
 		// Heavier assumed fan-in eats the top of the range.
 		{"paper-n4", 2 * sim.Microsecond, 40 * units.Gbps, 256000, 4, 10000, 226000},
-		// Reduced-rate fabric (harness.Scale rescales QPFC the same way).
+		// Reduced-rate fabric: the paper's 256 KB QPFC at a quarter of the rate.
 		{"10g-n2", 2 * sim.Microsecond, 10 * units.Gbps, 64000, 2, 2500, 61500},
 		// Longer links push both ends of the range.
 		{"slow-link-n2", 8 * sim.Microsecond, 10 * units.Gbps, 64000, 2, 10000, 54000},

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/rlb-project/rlb/internal/core"
 	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/spec"
+	"github.com/rlb-project/rlb/internal/switchsim"
 	"github.com/rlb-project/rlb/internal/topo"
 	"github.com/rlb-project/rlb/internal/units"
 	"github.com/rlb-project/rlb/internal/workload"
@@ -27,48 +27,52 @@ func specLinkDelay(s spec.Spec) sim.Time {
 	return 2 * sim.Microsecond
 }
 
-// specScale bundles a spec's dimensions as a Scale, the unit-conversion
-// point between the integral spec fields and the simulator types. All
-// threshold rescaling (PFC/ECN constants following the link rate) flows
-// through Scale.ScaleSwitch, so spec-compiled fabrics pause exactly like
-// figure-built ones; compile_test pins the equality.
-func specScale(s spec.Spec) Scale {
-	return Scale{
-		Name:         "spec",
-		Leaves:       s.Leaves,
-		Spines:       s.Spines,
-		HostsPerLeaf: s.HostsPerLeaf,
-		LinkRate:     units.Bandwidth(s.LinkGbps) * units.Gbps,
-		LinkDelay:    specLinkDelay(s),
-		Duration:     usTime(s.DurationUs),
-		Drain:        usTime(s.DrainUs),
-		MaxFlowBytes: s.MaxFlowKB * 1000,
-	}
+// specRate returns the spec's symmetric link rate.
+func specRate(s spec.Spec) units.Bandwidth { return units.Bandwidth(s.LinkGbps) * units.Gbps }
+
+// fabricParams builds the topology params every experiment kind starts from:
+// the paper's fabric at the given shape, the spec's link rate and delay, its
+// switch thresholds rescaled to that rate, and lossless mode unless PFCOff.
+func fabricParams(s spec.Spec, leaves, spines, hostsPerLeaf int) topo.Params {
+	p := topo.Default(leaves, spines, hostsPerLeaf)
+	p.LinkRate = specRate(s)
+	p.LinkDelay = specLinkDelay(s)
+	rescaleSwitch(&p.Switch, p.LinkRate)
+	p.Switch.PFCEnabled = !s.PFCOff
+	return p
 }
 
-// rlbParamsFor returns the custom RLB parameter block the spec's ablation
-// knobs call for, or nil when every knob is default (SchemeByName then uses
-// core.DefaultParams verbatim, which is behaviorally identical).
-func rlbParamsFor(s spec.Spec, linkDelay sim.Time) *core.Params {
-	if !s.NoRecirc && !s.NoOrderGuard && s.QthFracPct == 0 && s.DeltaTNs == 0 {
-		return nil
+// rescaleSwitch rescales the paper's 40 Gb/s switch thresholds to the link
+// rate, preserving the time constants (a 256 KB PFC threshold at 40 Gb/s is
+// ~51 us of line rate; the same microseconds at 10 Gb/s are 64 KB). Without
+// this, reduced-rate fabrics would never trigger PFC. The PFC threshold is
+// tightened by a further 2x because a reduced fabric also has proportionally
+// fewer simultaneous flows per port than the paper's 288-host fabric, so
+// transient bursts aggregate less (see EXPERIMENTS.md).
+func rescaleSwitch(cfg *switchsim.Config, rate units.Bandwidth) {
+	ratio := float64(rate) / float64(40*units.Gbps)
+	if ratio >= 1 {
+		return
 	}
-	p := core.DefaultParams(linkDelay)
-	p.DisableRecirculation = s.NoRecirc
-	p.DisableOrderGuard = s.NoOrderGuard
-	if s.QthFracPct > 0 {
-		p.QthFraction = float64(s.QthFracPct) / 100
+	scale := func(v int, r float64) int {
+		w := int(float64(v) * r)
+		if w < 2000 {
+			w = 2000
+		}
+		return w
 	}
-	if s.DeltaTNs > 0 {
-		p.DeltaT = nsTime(s.DeltaTNs)
-	}
-	return &p
+	cfg.PFCThreshold = scale(cfg.PFCThreshold, ratio/2)
+	cfg.ECNKmin = scale(cfg.ECNKmin, ratio)
+	cfg.ECNKmax = scale(cfg.ECNKmax, ratio)
+	// The shared pool keeps the paper's 9 MB: shrinking it would introduce
+	// tail drops in the PFC-off baselines that the paper's setup never has.
 }
 
 // specFaults renders the spec's fault windows as the topo fault schedule.
 // Windows that restore (UpAtUs > DownAtUs) schedule both the break and the
 // repair; non-restoring windows schedule the break only.
-func specFaults(s spec.Spec, rate units.Bandwidth) []topo.Fault {
+func specFaults(s spec.Spec) []topo.Fault {
+	rate := specRate(s)
 	var fs []topo.Fault
 	for _, f := range s.Faults {
 		if f.Kill() {
@@ -157,19 +161,13 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 	if err := checkSpines("spines", s.Spines); err != nil {
 		return RunConfig{}, err
 	}
-	sc := specScale(s)
-	p := sc.TopoParams()
+	p := fabricParams(s, s.Leaves, s.Spines, s.HostsPerLeaf)
 	if s.AsymPct > 0 {
 		p.AsymFraction = float64(s.AsymPct) / 100
-		p.AsymRate = sc.LinkRate / 4
+		p.AsymRate = p.LinkRate / 4
 	}
-	sch, err := SchemeByName(s.Scheme, sc.LinkDelay, rlbParamsFor(s, sc.LinkDelay))
-	if err != nil {
+	if err := applyScheme(&p, s); err != nil {
 		return RunConfig{}, err
-	}
-	sch.Apply(&p)
-	if s.PFCOff {
-		p.Switch.PFCEnabled = false
 	}
 	if s.SelectiveRepeat {
 		p.Host.SelectiveRepeat = true
@@ -191,11 +189,12 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 		if s.IncastDegree < 1 || s.IncastKB < 1 {
 			return RunConfig{}, fmt.Errorf("incastReps %d needs incastDegree >= 1 and incastKB >= 1", s.IncastReps)
 		}
-		return compileIncastReps(s, sc, p), nil
+		return compileIncastReps(s, p), nil
 	}
 
 	var dist *workload.SizeDist
 	if s.Workload != "" {
+		var err error
 		dist, err = workload.ByName(s.Workload)
 		if err != nil {
 			return RunConfig{}, err
@@ -228,11 +227,11 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 		Topo:             p,
 		Workload:         dist,
 		Load:             float64(s.LoadPct) / 100,
-		MaxFlowBytes:     sc.MaxFlowBytes,
-		Duration:         sc.Duration,
-		Drain:            sc.Drain,
+		MaxFlowBytes:     s.MaxFlowKB * 1000,
+		Duration:         usTime(s.DurationUs),
+		Drain:            usTime(s.DrainUs),
 		Inject:           inject,
-		Faults:           specFaults(s, sc.LinkRate),
+		Faults:           specFaults(s),
 		StrictInvariants: s.Strict,
 		Context:          s.Params(),
 		Seed:             s.SimSeed,
@@ -247,20 +246,16 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 // client's downlink needs totalBytes/rate, and PFC/retransmissions can
 // stretch that several-fold. The network is retained so incastMetrics can
 // reconstruct the per-initiation groups.
-func compileIncastReps(s spec.Spec, sc Scale, p topo.Params) RunConfig {
+func compileIncastReps(s spec.Spec, p topo.Params) RunConfig {
 	totalBytes := s.IncastKB * 1000
 	reps := s.IncastReps
 	degree := s.IncastDegree
-	ideal := units.TxTime(totalBytes, p.LinkRate)
-	gap := 4 * ideal
-	if gap < sc.Duration/sim.Time(reps) {
-		gap = sc.Duration / sim.Time(reps)
-	}
+	gap := incastGap(s)
 	seed := s.SimSeed
 	return RunConfig{
 		Topo:             p,
 		Duration:         sim.Time(reps) * gap,
-		Drain:            sc.Drain + 8*ideal,
+		Drain:            usTime(s.DrainUs) + 8*incastIdeal(s),
 		Seed:             seed,
 		KeepNetwork:      true,
 		StrictInvariants: s.Strict,
@@ -292,14 +287,16 @@ func compileIncastReps(s spec.Spec, sc Scale, p topo.Params) RunConfig {
 	}
 }
 
-// incastGap recomputes the initiation spacing compileIncastReps used, so the
-// metrics extractor can reconstruct initiation times from the spec alone.
+// incastIdeal is one initiation's line-rate transfer time into the client.
+func incastIdeal(s spec.Spec) sim.Time { return units.TxTime(s.IncastKB*1000, specRate(s)) }
+
+// incastGap is the initiation spacing of a repeated-incast spec: four ideal
+// transfer times, or an even share of the traffic window when that is longer.
+// The metrics extractor reconstructs initiation times from it.
 func incastGap(s spec.Spec) sim.Time {
-	sc := specScale(s)
-	ideal := units.TxTime(s.IncastKB*1000, sc.LinkRate)
-	gap := 4 * ideal
-	if gap < sc.Duration/sim.Time(s.IncastReps) {
-		gap = sc.Duration / sim.Time(s.IncastReps)
+	gap := 4 * incastIdeal(s)
+	if share := usTime(s.DurationUs) / sim.Time(s.IncastReps); gap < share {
+		gap = share
 	}
 	return gap
 }

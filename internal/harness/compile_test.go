@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/spec"
+	"github.com/rlb-project/rlb/internal/topo"
 	"github.com/rlb-project/rlb/internal/units"
 )
 
@@ -18,45 +20,56 @@ func tinySpec() spec.Spec {
 	}
 }
 
-// TestCompileThresholdsMatchScaleMath pins the compiler's unit conversion to
-// harness.Scale's threshold rescaling: a spec at each paper-relevant link
-// rate must produce bit-identical switch thresholds, link timing, and flow
-// cap to the Scale it round-trips from. This is the contract that makes
-// spec-compiled fabrics pause exactly like figure-built ones.
+// TestCompileThresholdsMatchScaleMath pins the compiler's unit conversion:
+// the 40 Gb/s PFC/ECN thresholds rescaled to each paper-relevant link rate
+// (PFC at half the rate ratio, ECN at the ratio, unchanged at 40 G), the link
+// timing, and the traffic window and flow cap. These are the values every
+// figure's fabric pauses at.
 func TestCompileThresholdsMatchScaleMath(t *testing.T) {
-	for _, gbps := range []int{10, 25, 40} {
-		sc := Scale{
-			Name: "tt", Leaves: 4, Spines: 6, HostsPerLeaf: 6,
-			LinkRate: units.Bandwidth(gbps) * units.Gbps, LinkDelay: 2 * sim.Microsecond,
-			Duration: 5 * sim.Millisecond, Drain: 15 * sim.Millisecond,
-			MaxFlowBytes: 5 * 1000 * 1000,
-		}
-		want := sc.TopoParams()
-
-		s := sc.Spec(1)
+	for _, c := range []struct {
+		gbps                int
+		pfc, ecnMin, ecnMax int
+	}{
+		{10, 32000, 10000, 40000},
+		{25, 80000, 25000, 100000},
+		{40, 256000, 40000, 160000},
+	} {
+		s := DefaultScale.Spec(1)
+		s.LinkGbps = c.gbps
 		s.Scheme = "ecmp"
 		s.Workload = "websearch"
 		s.LoadPct = 50
 		cfg, err := Compile(s)
 		if err != nil {
-			t.Fatalf("%dG: %v", gbps, err)
+			t.Fatalf("%dG: %v", c.gbps, err)
 		}
-		got := cfg.Topo
+		sw := cfg.Topo.Switch
+		if sw.PFCThreshold != c.pfc || sw.ECNKmin != c.ecnMin || sw.ECNKmax != c.ecnMax {
+			t.Errorf("%dG: PFC %d ECN (%d,%d), want PFC %d ECN (%d,%d)", c.gbps,
+				sw.PFCThreshold, sw.ECNKmin, sw.ECNKmax, c.pfc, c.ecnMin, c.ecnMax)
+		}
+		if want := units.Bandwidth(c.gbps) * units.Gbps; cfg.Topo.LinkRate != want || cfg.Topo.LinkDelay != 2*sim.Microsecond {
+			t.Errorf("%dG: link %v/%v, want %v/2us", c.gbps, cfg.Topo.LinkRate, cfg.Topo.LinkDelay, want)
+		}
+		if cfg.Duration != 5*sim.Millisecond || cfg.Drain != 15*sim.Millisecond || cfg.MaxFlowBytes != 5*1000*1000 {
+			t.Errorf("%dG: window %v+%v cap %d, want 5ms+15ms cap 5000000", c.gbps,
+				cfg.Duration, cfg.Drain, cfg.MaxFlowBytes)
+		}
+	}
+}
 
-		if got.Switch.PFCThreshold != want.Switch.PFCThreshold {
-			t.Errorf("%dG: PFC threshold %d, Scale math says %d", gbps, got.Switch.PFCThreshold, want.Switch.PFCThreshold)
-		}
-		if got.Switch.ECNKmin != want.Switch.ECNKmin || got.Switch.ECNKmax != want.Switch.ECNKmax {
-			t.Errorf("%dG: ECN (%d,%d), Scale math says (%d,%d)", gbps,
-				got.Switch.ECNKmin, got.Switch.ECNKmax, want.Switch.ECNKmin, want.Switch.ECNKmax)
-		}
-		if got.LinkRate != want.LinkRate || got.LinkDelay != want.LinkDelay {
-			t.Errorf("%dG: link %v/%v, want %v/%v", gbps, got.LinkRate, got.LinkDelay, want.LinkRate, want.LinkDelay)
-		}
-		if cfg.Duration != sc.Duration || cfg.Drain != sc.Drain || cfg.MaxFlowBytes != sc.MaxFlowBytes {
-			t.Errorf("%dG: window %v+%v cap %d, want %v+%v cap %d", gbps,
-				cfg.Duration, cfg.Drain, cfg.MaxFlowBytes, sc.Duration, sc.Drain, sc.MaxFlowBytes)
-		}
+// TestCompileAsymFabric pins the asymmetry knob: asymPct 20 downgrades a 0.2
+// fraction of leaf-spine links to a quarter of the link rate, and asymPct 0
+// leaves the fabric symmetric.
+func TestCompileAsymFabric(t *testing.T) {
+	s := tinySpec()
+	s.AsymPct = 20
+	p := MustCompile(s).Topo
+	if p.AsymFraction != 0.2 || p.AsymRate != p.LinkRate/4 {
+		t.Fatalf("asym %v at %v, want 0.2 at %v", p.AsymFraction, p.AsymRate, p.LinkRate/4)
+	}
+	if p := MustCompile(tinySpec()).Topo; p.AsymFraction != 0 {
+		t.Fatalf("asym fraction %v on a symmetric spec", p.AsymFraction)
 	}
 }
 
@@ -78,37 +91,71 @@ func TestCompileContextIsSpecParams(t *testing.T) {
 }
 
 // TestCompileSchemeRegistryAgreement pins spec.SchemeNames to the harness
-// scheme registry: every advertised name compiles, and an unknown name's
-// error lists the valid ones.
+// scheme registry: every advertised name compiles, deploying RLB exactly when
+// it carries the "+rlb" suffix, and an unknown name's error lists the valid
+// ones.
 func TestCompileSchemeRegistryAgreement(t *testing.T) {
 	for _, name := range spec.SchemeNames() {
 		s := tinySpec()
 		s.Scheme = name
-		if _, err := Compile(s); err != nil {
+		cfg, err := Compile(s)
+		if err != nil {
 			t.Errorf("advertised scheme %q does not compile: %v", name, err)
+			continue
+		}
+		withRLB := strings.HasSuffix(name, spec.RLBSuffix)
+		if cfg.Topo.LB == nil || (cfg.Topo.RLB != nil) != withRLB {
+			t.Errorf("%s: LB set %v, RLB deployed %v; want RLB %v",
+				name, cfg.Topo.LB != nil, cfg.Topo.RLB != nil, withRLB)
 		}
 	}
-	s := tinySpec()
-	s.Scheme = "bogus"
-	_, err := Compile(s)
-	if err == nil {
-		t.Fatal("unknown scheme compiled")
-	}
-	for _, name := range spec.SchemeNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Fatalf("unknown-scheme error does not list %q: %v", name, err)
+	for _, bogus := range []string{"bogus", "bogus+rlb"} {
+		s := tinySpec()
+		s.Scheme = bogus
+		_, err := Compile(s)
+		if err == nil {
+			t.Fatalf("unknown scheme %q compiled", bogus)
+		}
+		for _, name := range spec.SchemeNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Fatalf("unknown-scheme error does not list %q: %v", name, err)
+			}
 		}
 	}
 
-	s = tinySpec()
+	s := tinySpec()
 	s.Workload = "bogus"
-	_, err = Compile(s)
+	_, err := Compile(s)
 	if err == nil {
 		t.Fatal("unknown workload compiled")
 	}
 	for _, name := range spec.WorkloadNames() {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("unknown-workload error does not list %q: %v", name, err)
+		}
+	}
+}
+
+// TestSchemeByName pins scheme lookup by name: each base load balancer
+// compiles without RLB, its "+rlb" variant deploys RLB, and unknown names
+// (with or without the suffix) are rejected.
+func TestSchemeByName(t *testing.T) {
+	compile := func(name string) (RunConfig, error) {
+		s := tinySpec()
+		s.Scheme = name
+		return Compile(s)
+	}
+	for _, name := range []string{"ecmp", "presto", "letflow", "hermes", "drill"} {
+		if cfg, err := compile(name); err != nil || cfg.Topo.RLB != nil {
+			t.Errorf("%s: %v rlb=%v", name, err, cfg.Topo.RLB)
+		}
+		if cfg, err := compile(name + spec.RLBSuffix); err != nil || cfg.Topo.RLB == nil {
+			t.Errorf("%s+rlb: %v rlb=%v", name, err, cfg.Topo.RLB)
+		}
+	}
+	for _, bogus := range []string{"bogus", "bogus+rlb"} {
+		if _, err := compile(bogus); err == nil {
+			t.Errorf("%s scheme accepted", bogus)
 		}
 	}
 }
@@ -198,25 +245,72 @@ func TestCompiledCellReplaysBitIdentically(t *testing.T) {
 	}
 }
 
-// TestCompileFaultSchedule pins the spec→topo fault translation: restored
-// kills schedule down+up, unrestored kills schedule the break only, degrade
-// windows carry the divided rate.
-func TestCompileFaultSchedule(t *testing.T) {
+// faultEvent is one expected topo fault event at atUs.
+func faultEvent(atUs int, kind topo.FaultKind, leaf, spine int, r units.Bandwidth) topo.Fault {
+	return topo.Fault{At: usTime(atUs), Kind: kind, Leaf: leaf, Spine: spine, Rate: r}
+}
+
+// uplinkWindows is window w applied to each spine uplink 0..n-1 of leaf.
+func uplinkWindows(leaf, n int, w spec.FaultSpec) []spec.FaultSpec {
+	var fs []spec.FaultSpec
+	for i := 0; i < n; i++ {
+		w.Leaf, w.Spine = leaf, i
+		fs = append(fs, w)
+	}
+	return fs
+}
+
+// checkFaultSchedule compiles faults onto a 3-leaf, 4-spine, 10 Gb/s fabric
+// and compares the resulting topo fault schedule with want.
+func checkFaultSchedule(t *testing.T, name string, faults []spec.FaultSpec, want []topo.Fault) {
+	t.Helper()
 	s := tinySpec()
-	s.Faults = []spec.FaultSpec{
+	s.Leaves, s.Spines = 3, 4
+	s.Faults = faults
+	if got := MustCompile(s).Faults; !reflect.DeepEqual(got, want) {
+		t.Errorf("%s:\n got %+v\nwant %+v", name, got, want)
+	}
+}
+
+// tinyRate is tinySpec's link rate.
+const tinyRate = units.Bandwidth(10) * units.Gbps
+
+// TestCompileFaultSchedule pins the spec→topo fault translation of a mixed
+// schedule: restored kills schedule down+up, unrestored kills (UpAtUs 0)
+// schedule the break only, and degrade windows carry the divided rate.
+func TestCompileFaultSchedule(t *testing.T) {
+	checkFaultSchedule(t, "mixed windows", []spec.FaultSpec{
 		{Leaf: 0, Spine: 0, DownAtUs: 100, UpAtUs: 200},
 		{Leaf: 1, Spine: 1, DownAtUs: 50, UpAtUs: 0},
 		{Leaf: 0, Spine: 1, DownAtUs: 80, UpAtUs: 120, RateDiv: 4},
-	}
-	cfg := MustCompile(s)
-	if len(cfg.Faults) != 5 {
-		t.Fatalf("want 5 scheduled fault events (2 + 1 + 2), got %d", len(cfg.Faults))
-	}
-	if cfg.Faults[2].At != 50*sim.Microsecond {
-		t.Fatalf("unrestored kill scheduled at %v, want 50us", cfg.Faults[2].At)
-	}
-	wantRate := units.Bandwidth(10) * units.Gbps / 4
-	if cfg.Faults[3].Rate != wantRate {
-		t.Fatalf("degrade window rate %v, want %v", cfg.Faults[3].Rate, wantRate)
-	}
+	}, []topo.Fault{
+		faultEvent(100, topo.LinkDown, 0, 0, 0), faultEvent(200, topo.LinkUp, 0, 0, 0),
+		faultEvent(50, topo.LinkDown, 1, 1, 0),
+		faultEvent(80, topo.LinkRate, 0, 1, tinyRate/4), faultEvent(120, topo.LinkRate, 0, 1, tinyRate),
+	})
+}
+
+// TestKillUplinksSchedule pins the schedule of a leaf losing several spine
+// uplinks at once: a restored window cuts and restores every uplink, an
+// unrestored one only cuts them.
+func TestKillUplinksSchedule(t *testing.T) {
+	checkFaultSchedule(t, "kill 3 uplinks, restore",
+		uplinkWindows(2, 3, spec.FaultSpec{DownAtUs: 10000, UpAtUs: 20000}), []topo.Fault{
+			faultEvent(10000, topo.LinkDown, 2, 0, 0), faultEvent(20000, topo.LinkUp, 2, 0, 0),
+			faultEvent(10000, topo.LinkDown, 2, 1, 0), faultEvent(20000, topo.LinkUp, 2, 1, 0),
+			faultEvent(10000, topo.LinkDown, 2, 2, 0), faultEvent(20000, topo.LinkUp, 2, 2, 0),
+		})
+	checkFaultSchedule(t, "kill 2 uplinks, never restore",
+		uplinkWindows(0, 2, spec.FaultSpec{DownAtUs: 1000}), []topo.Fault{
+			faultEvent(1000, topo.LinkDown, 0, 0, 0), faultEvent(1000, topo.LinkDown, 0, 1, 0),
+		})
+}
+
+// TestDegradeUplinksSchedule pins the schedule of a leaf's uplinks dropping
+// to a quarter of the link rate, never restored.
+func TestDegradeUplinksSchedule(t *testing.T) {
+	checkFaultSchedule(t, "degrade 2 uplinks",
+		uplinkWindows(1, 2, spec.FaultSpec{DownAtUs: 1000, RateDiv: 4}), []topo.Fault{
+			faultEvent(1000, topo.LinkRate, 1, 0, tinyRate/4), faultEvent(1000, topo.LinkRate, 1, 1, tinyRate/4),
+		})
 }

@@ -4,61 +4,27 @@ import (
 	"testing"
 
 	"github.com/rlb-project/rlb/internal/invariant"
-	"github.com/rlb-project/rlb/internal/sim"
-	"github.com/rlb-project/rlb/internal/topo"
-	"github.com/rlb-project/rlb/internal/workload"
+	"github.com/rlb-project/rlb/internal/spec"
 )
 
-func TestKillUplinksSchedule(t *testing.T) {
-	fs := KillUplinks(2, 3, 10*sim.Millisecond, 20*sim.Millisecond)
-	if len(fs) != 6 {
-		t.Fatalf("faults = %d, want 3 downs + 3 ups", len(fs))
-	}
-	downs, ups := 0, 0
-	for _, f := range fs {
-		if f.Leaf != 2 {
-			t.Fatalf("wrong leaf: %+v", f)
-		}
-		switch f.Kind {
-		case topo.LinkDown:
-			downs++
-			if f.At != 10*sim.Millisecond {
-				t.Fatalf("down at %v", f.At)
-			}
-		case topo.LinkUp:
-			ups++
-			if f.At != 20*sim.Millisecond {
-				t.Fatalf("up at %v", f.At)
-			}
-		}
-	}
-	if downs != 3 || ups != 3 {
-		t.Fatalf("downs=%d ups=%d", downs, ups)
-	}
-	if got := KillUplinks(0, 2, sim.Millisecond, 0); len(got) != 2 {
-		t.Fatalf("no-restore schedule = %d faults, want 2", len(got))
-	}
+// faultCfg is a Poisson run with the given scheme and fault windows.
+func faultCfg(scheme string, faults ...spec.FaultSpec) RunConfig {
+	s := poissonSpec(scheme, 30, 21)
+	s.Faults = faults
+	return MustCompile(s)
 }
 
-// faultCfg is a Poisson run with the given scheme and fault schedule.
-func faultCfg(t *testing.T, scheme string, faults []topo.Fault) RunConfig {
-	t.Helper()
-	p := testScale.TopoParams()
-	MustScheme(scheme, testScale.LinkDelay, nil).Apply(&p)
-	return RunConfig{
-		Topo: p, Workload: workload.WebServer(), Load: 0.3,
-		MaxFlowBytes: testScale.MaxFlowBytes,
-		Duration:     testScale.Duration, Drain: testScale.Drain,
-		Faults: faults, Seed: 21,
-	}
+// uplinkDown is a window cutting leaf 0's first spine uplink at downUs,
+// restored at upUs (0 = never restored).
+func uplinkDown(downUs, upUs int) spec.FaultSpec {
+	return spec.FaultSpec{Leaf: 0, Spine: 0, DownAtUs: downUs, UpAtUs: upUs}
 }
 
 func TestLinkDownTriggersRLBReroutes(t *testing.T) {
 	// Killing an uplink mid-run must show up as RLB reroutes: the agent is
 	// notified and diverts flows the base LB still pins to the dead path.
-	quiet := Run(faultCfg(t, "ecmp+rlb", nil))
-	faulted := Run(faultCfg(t, "ecmp+rlb",
-		KillUplinks(0, 1, testScale.Duration/4, 0)))
+	quiet := Run(faultCfg("ecmp+rlb"))
+	faulted := Run(faultCfg("ecmp+rlb", uplinkDown(250, 0)))
 	if faulted.Agents.Reroutes <= quiet.Agents.Reroutes {
 		t.Fatalf("link-down did not increase reroutes: %d (faulted) vs %d (quiet)",
 			faulted.Agents.Reroutes, quiet.Agents.Reroutes)
@@ -75,8 +41,7 @@ func TestFlowsCompleteAfterLinkUp(t *testing.T) {
 	for _, scheme := range []string{"ecmp", "drill+rlb"} {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
-			res := Run(faultCfg(t, scheme,
-				KillUplinks(0, 1, testScale.Duration/4, testScale.Duration)))
+			res := Run(faultCfg(scheme, uplinkDown(250, 1000)))
 			if res.Report.Flows == 0 {
 				t.Fatal("no flows generated")
 			}
@@ -95,8 +60,7 @@ func TestECMPBlackholesIntoDeadLink(t *testing.T) {
 	// ECMP has no path telemetry: with a dead uplink never restored, flows
 	// hashed onto it keep forwarding into the hole. The end-of-run audit must
 	// flag the stranded bytes, and the wire must have eaten frames.
-	res := Run(faultCfg(t, "ecmp",
-		KillUplinks(0, 1, testScale.Duration/4, 0)))
+	res := Run(faultCfg("ecmp", uplinkDown(250, 0)))
 	if res.WireLost == 0 {
 		t.Fatal("dead link lost no frames under ECMP")
 	}
@@ -117,8 +81,8 @@ func TestECMPBlackholesIntoDeadLink(t *testing.T) {
 func TestDelayAwareSchemeAvoidsDeadLink(t *testing.T) {
 	// Hermes reads the poisoned path telemetry and must keep completing flows
 	// without RLB's help, losing far less than ECMP does.
-	ecmp := Run(faultCfg(t, "ecmp", KillUplinks(0, 1, 0, 0)))
-	hermes := Run(faultCfg(t, "hermes", KillUplinks(0, 1, 0, 0)))
+	ecmp := Run(faultCfg("ecmp", uplinkDown(0, 0)))
+	hermes := Run(faultCfg("hermes", uplinkDown(0, 0)))
 	if hermes.Report.Completed != hermes.Report.Flows {
 		t.Fatalf("%d/%d hermes flows completed around a day-one dead link",
 			hermes.Report.Completed, hermes.Report.Flows)
@@ -128,18 +92,11 @@ func TestDelayAwareSchemeAvoidsDeadLink(t *testing.T) {
 	}
 }
 
-func TestDegradeUplinksSchedule(t *testing.T) {
-	fs := DegradeUplinks(1, 2, sim.Millisecond, testScale.LinkRate/4)
-	if len(fs) != 2 {
-		t.Fatalf("faults = %d", len(fs))
-	}
-	for _, f := range fs {
-		if f.Kind != topo.LinkRate || f.Rate != testScale.LinkRate/4 || f.Leaf != 1 {
-			t.Fatalf("bad fault: %+v", f)
-		}
-	}
-	// And it runs: degrading links mid-run must not break completion.
-	res := Run(faultCfg(t, "drill", DegradeUplinks(0, 1, testScale.Duration/2, testScale.LinkRate/4)))
+func TestFlowsCompleteAfterDegrade(t *testing.T) {
+	// Degrading an uplink to quarter rate mid-run (the §4.2 asymmetry, but
+	// dynamic, never restored) must not break completion.
+	degrade := spec.FaultSpec{Leaf: 0, Spine: 0, DownAtUs: 500, RateDiv: 4}
+	res := Run(faultCfg("drill", degrade))
 	if res.Report.Completed != res.Report.Flows {
 		t.Fatalf("%d/%d flows completed after degrade", res.Report.Completed, res.Report.Flows)
 	}

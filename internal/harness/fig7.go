@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/rlb-project/rlb/internal/spec"
-	"github.com/rlb-project/rlb/internal/workload"
 )
 
 // fig7Schemes are the schemes compared in Fig. 7.
@@ -19,14 +18,6 @@ func Fig7(s Scale, seed uint64) []*Table {
 		tables = append(tables, fig7One(s, wl, seed))
 	}
 	return tables
-}
-
-// Fig7Workload runs Fig. 7 for a single named workload.
-func Fig7Workload(s Scale, name string, seed uint64) (*Table, error) {
-	if _, err := workload.ByName(name); err != nil {
-		return nil, err
-	}
-	return fig7One(s, name, seed), nil
 }
 
 func fig7One(s Scale, wl string, seed uint64) *Table {

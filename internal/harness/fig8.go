@@ -11,12 +11,11 @@ var fig8Schemes = []string{
 // fig8Dims returns the degree and size sweeps for a scale. The paper sweeps
 // degree 10-25 and response 4-10 MB; reduced fabrics scale both down.
 func fig8Dims(s Scale) (degrees []int, sizes []int, fixedDegree int, fixedSize int) {
-	hosts := s.Leaves * s.HostsPerLeaf
-	maxDeg := hosts - 1
+	maxDeg := s.Base.Leaves*s.Base.HostsPerLeaf - 1
 	degrees = sweepInts(maxDeg/3, maxDeg, 4)
 	base := 4 * 1000 * 1000
-	if s.MaxFlowBytes > 0 && base > s.MaxFlowBytes*4 {
-		base = s.MaxFlowBytes * 4
+	if capBytes := s.Base.MaxFlowKB * 1000; capBytes > 0 && base > capBytes*4 {
+		base = capBytes * 4
 	}
 	sizes = []int{base, base * 3 / 2, base * 2, base * 5 / 2}
 	fixedDegree = degrees[len(degrees)/2]
@@ -37,7 +36,7 @@ func Fig8Degree(s Scale, seed uint64) *Table {
 	}
 	fig8Rows(t, MustRunGridMetrics(Fig8DegreeGrid(s, seed)), len(degrees))
 	t.AddNote("ict in ms; paper sweeps degree 10..25 on 288 hosts, this scale %v on %d hosts",
-		degrees, s.Leaves*s.HostsPerLeaf)
+		degrees, s.Base.Leaves*s.Base.HostsPerLeaf)
 	return t
 }
 

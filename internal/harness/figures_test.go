@@ -3,11 +3,7 @@ package harness
 import (
 	"strings"
 	"testing"
-
-	"github.com/rlb-project/rlb/internal/workload"
 )
-
-func wlWebServer() *workload.SizeDist { return workload.WebServer() }
 
 // Figure-builder smoke tests at the tiny test scale: each figure's code path
 // must produce a well-formed table with the expected rows.
@@ -119,17 +115,11 @@ func TestTableCSV(t *testing.T) {
 }
 
 func TestCongaSchemeRuns(t *testing.T) {
-	s, err := SchemeByName("conga+rlb", testScale.LinkDelay, nil)
-	if err != nil || s.RLB == nil {
-		t.Fatalf("conga+rlb: %v", err)
+	cfg := MustCompile(poissonSpec("conga+rlb", 30, 1))
+	if cfg.Topo.RLB == nil {
+		t.Fatal("conga+rlb compiled without RLB")
 	}
-	p := testScale.TopoParams()
-	s.Apply(&p)
-	res := Run(RunConfig{
-		Topo: p, Workload: wlWebServer(), Load: 0.3,
-		MaxFlowBytes: testScale.MaxFlowBytes,
-		Duration:     testScale.Duration, Drain: testScale.Drain, Seed: 1,
-	})
+	res := Run(cfg)
 	if res.Report.Completed == 0 {
 		t.Fatal("no flows completed under conga+rlb")
 	}

@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -39,8 +38,8 @@ type RunConfig struct {
 	// (bursts, incast, the Fig. 2 scenario).
 	Inject func(n *topo.Network)
 	// Faults schedules fault-plane events (link down/up/degrade) on the
-	// simulation clock; see topo.Fault and KillUplinks for the common
-	// "kill N spine uplinks at t, restore at t2" scenario.
+	// simulation clock; Compile renders them from the spec's FaultSpec
+	// windows (see topo.Fault).
 	Faults []topo.Fault
 	// KeepNetwork retains the full built network in Result.Network for
 	// scenario-specific digging. Off by default: a sweep's worth of retained
@@ -50,10 +49,9 @@ type RunConfig struct {
 	// (per-mutation shared-pool conservation audits, per-flow PSN delivery
 	// tracking) on top of the always-on cheap assertions.
 	StrictInvariants bool
-	// Context, when non-empty, labels every invariant violation this run
-	// records so a failure in a log is reproducible from the message alone.
-	// Empty means Run composes one from the config (seed, fabric, workload,
-	// load, fault count); scenario generators pass their full parameter set.
+	// Context labels every invariant violation this run records so a
+	// failure in a log is reproducible from the message alone. Compile sets
+	// it to the spec's full parameter set (spec.Spec.Params).
 	Context string
 	Seed    uint64
 	// Telemetry, when nonzero, samples the network's probe set at this
@@ -99,21 +97,6 @@ func (r *Result) PauseRatePerMs() float64 {
 	return metrics.PauseRate(r.Pauses, r.SimTime)
 }
 
-// runContext is the violation label for this run: the explicit Context when
-// one was provided, otherwise the reproduction essentials from the config.
-func (cfg *RunConfig) runContext() string {
-	if cfg.Context != "" {
-		return cfg.Context
-	}
-	wl := "none"
-	if cfg.Workload != nil {
-		wl = cfg.Workload.Name
-	}
-	return fmt.Sprintf("seed=%d fabric=%dx%d/%d wl=%s load=%.2f faults=%d",
-		cfg.Seed, cfg.Topo.Leaves, cfg.Topo.Spines, cfg.Topo.HostsPerLeaf,
-		wl, cfg.Load, len(cfg.Faults))
-}
-
 // Run executes one simulation to completion.
 func Run(cfg RunConfig) *Result {
 	//simlint:allow(determinism) wall-clock feeds only the Wall perf counter, never simulation state
@@ -124,7 +107,7 @@ func Run(cfg RunConfig) *Result {
 		checker = invariant.New(cfg.StrictInvariants)
 		cfg.Topo.Checker = checker
 	}
-	checker.SetContext(cfg.runContext())
+	checker.SetContext(cfg.Context)
 	n := topo.Build(cfg.Topo)
 	n.ScheduleFaults(cfg.Faults)
 

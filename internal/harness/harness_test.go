@@ -5,27 +5,31 @@ import (
 	"testing"
 
 	"github.com/rlb-project/rlb/internal/sim"
-	"github.com/rlb-project/rlb/internal/units"
-	"github.com/rlb-project/rlb/internal/workload"
+	"github.com/rlb-project/rlb/internal/spec"
 )
 
 // testScale is a deliberately tiny fabric so unit tests stay fast.
 var testScale = Scale{
-	Name: "test", Leaves: 2, Spines: 2, HostsPerLeaf: 3,
-	LinkRate: 10 * units.Gbps, LinkDelay: 2 * sim.Microsecond,
-	Duration: sim.Millisecond, Drain: 4 * sim.Millisecond,
-	MaxFlowBytes: 500 * 1000,
-	MotivSpines:  4, MotivHosts: 4,
+	Name: "test",
+	Base: spec.Spec{
+		Leaves: 2, Spines: 2, HostsPerLeaf: 3, LinkGbps: 10,
+		MaxFlowKB: 500, DurationUs: 1000, DrainUs: 4000,
+	},
+	MotivSpines: 4, MotivHosts: 4,
+}
+
+// poissonSpec is a testScale fabric run of one scheme under Web Server
+// traffic at the given load.
+func poissonSpec(scheme string, loadPct int, seed uint64) spec.Spec {
+	s := testScale.Spec(seed)
+	s.Scheme = scheme
+	s.Workload = "webserver"
+	s.LoadPct = loadPct
+	return s
 }
 
 func TestRunPoissonScenario(t *testing.T) {
-	p := testScale.TopoParams()
-	MustScheme("ecmp", testScale.LinkDelay, nil).Apply(&p)
-	res := Run(RunConfig{
-		Topo: p, Workload: workload.WebServer(), Load: 0.4,
-		MaxFlowBytes: testScale.MaxFlowBytes,
-		Duration:     testScale.Duration, Drain: testScale.Drain, Seed: 1,
-	})
+	res := Run(MustCompile(poissonSpec("ecmp", 40, 1)))
 	if res.Report.Flows == 0 {
 		t.Fatal("no flows generated")
 	}
@@ -35,22 +39,15 @@ func TestRunPoissonScenario(t *testing.T) {
 	if res.Drops != 0 {
 		t.Fatalf("%d drops in lossless run", res.Drops)
 	}
-	if res.SimTime != testScale.Duration+testScale.Drain {
+	if res.SimTime != 5*sim.Millisecond {
 		t.Fatalf("SimTime = %v", res.SimTime)
 	}
 }
 
 func TestRunAllOrderAndParallel(t *testing.T) {
 	var cfgs []RunConfig
-	loads := []float64{0.1, 0.2, 0.3, 0.4}
-	for _, l := range loads {
-		p := testScale.TopoParams()
-		MustScheme("ecmp", testScale.LinkDelay, nil).Apply(&p)
-		cfgs = append(cfgs, RunConfig{
-			Topo: p, Workload: workload.WebServer(), Load: l,
-			MaxFlowBytes: testScale.MaxFlowBytes,
-			Duration:     testScale.Duration, Drain: testScale.Drain, Seed: 5,
-		})
+	for _, l := range []int{10, 20, 30, 40} {
+		cfgs = append(cfgs, MustCompile(poissonSpec("ecmp", l, 5)))
 	}
 	results := RunAll(cfgs)
 	if len(results) != 4 {
@@ -65,40 +62,14 @@ func TestRunAllOrderAndParallel(t *testing.T) {
 	}
 }
 
-func TestSchemeByName(t *testing.T) {
-	for _, name := range []string{"ecmp", "presto", "letflow", "hermes", "drill"} {
-		s, err := SchemeByName(name, 2*sim.Microsecond, nil)
-		if err != nil || s.RLB != nil {
-			t.Errorf("%s: %v rlb=%v", name, err, s.RLB)
-		}
-		s, err = SchemeByName(name+"+rlb", 2*sim.Microsecond, nil)
-		if err != nil || s.RLB == nil {
-			t.Errorf("%s+rlb: %v rlb=%v", name, err, s.RLB)
-		}
-	}
-	if _, err := SchemeByName("bogus", 0, nil); err == nil {
-		t.Error("bogus scheme accepted")
-	}
-	if _, err := SchemeByName("bogus+rlb", 0, nil); err == nil {
-		t.Error("bogus+rlb scheme accepted")
-	}
-}
-
 func TestScaleByName(t *testing.T) {
 	for _, name := range []string{"bench", "default", "paper"} {
-		if s, ok := ScaleByName(name); !ok || s.Leaves == 0 {
+		if s, ok := ScaleByName(name); !ok || s.Base.Leaves == 0 {
 			t.Errorf("ScaleByName(%s) failed", name)
 		}
 	}
 	if _, ok := ScaleByName("nope"); ok {
 		t.Error("unknown scale accepted")
-	}
-}
-
-func TestAsymTopoParams(t *testing.T) {
-	p := testScale.AsymTopoParams()
-	if p.AsymFraction != 0.2 || p.AsymRate != testScale.LinkRate/4 {
-		t.Fatalf("asym params wrong: %v %v", p.AsymFraction, p.AsymRate)
 	}
 }
 
@@ -175,17 +146,24 @@ func TestRLBReducesReorderingUnderPFC(t *testing.T) {
 	}
 }
 
+// TestNormalizedRow pins the Fig. 10 normalization: every AFCT is divided
+// by the smallest nonzero one, and a zero AFCT (no completed flows) stays 0.
 func TestNormalizedRow(t *testing.T) {
-	mk := func(afct float64) *Result {
-		r := &Result{Report: nil}
-		_ = r
-		return nil
+	var ms []Metrics
+	for _, afct := range []float64{4, 2, 0, 8} {
+		ms = append(ms, Metrics{AFCT: afct})
 	}
-	_ = mk
-	// normalizedRow is exercised through Fig10 at bench scale; here check
-	// the degenerate empty case does not panic.
-	row := normalizedRow("x", nil)
-	if len(row) != 1 {
-		t.Fatalf("row = %v", row)
+	row := normalizedRow("x", ms)
+	want := []interface{}{"x", 2.0, 1.0, 0.0, 4.0}
+	if len(row) != len(want) {
+		t.Fatalf("row = %v, want %v", row, want)
+	}
+	for i := range want {
+		if row[i] != want[i] {
+			t.Fatalf("row = %v, want %v", row, want)
+		}
+	}
+	if row := normalizedRow("x", nil); len(row) != 1 {
+		t.Fatalf("empty sweep row = %v", row)
 	}
 }

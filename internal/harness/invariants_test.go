@@ -4,22 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/rlb-project/rlb/internal/workload"
+	"github.com/rlb-project/rlb/internal/spec"
 )
 
 func poissonCfg(scheme string, seed uint64) RunConfig {
-	p := testScale.TopoParams()
-	MustScheme(scheme, testScale.LinkDelay, nil).Apply(&p)
-	return RunConfig{
-		Topo: p, Workload: workload.WebServer(), Load: 0.4,
-		MaxFlowBytes: testScale.MaxFlowBytes,
-		Duration:     testScale.Duration, Drain: testScale.Drain, Seed: seed,
-	}
+	return MustCompile(poissonSpec(scheme, 40, seed))
 }
-
-// fingerprint is the exported Fingerprint (fingerprint.go), kept as a local
-// alias so the property tests below read naturally.
-func fingerprint(r *Result) string { return Fingerprint(r) }
 
 func TestNetworkNotRetainedByDefault(t *testing.T) {
 	res := Run(poissonCfg("ecmp", 1))
@@ -48,7 +38,7 @@ func TestIdenticalSeedsIdenticalRuns(t *testing.T) {
 			mk := func() string {
 				cfg := poissonCfg(scheme, 17)
 				cfg.KeepNetwork = true
-				return fingerprint(Run(cfg))
+				return Fingerprint(Run(cfg))
 			}
 			a, b := mk(), mk()
 			if a != b {
@@ -77,7 +67,7 @@ func TestRunAllIndependentOfWorkerCount(t *testing.T) {
 		t.Fatalf("result counts differ: %d vs %d", len(serial), len(wide))
 	}
 	for i := range serial {
-		a, b := fingerprint(serial[i]), fingerprint(wide[i])
+		a, b := Fingerprint(serial[i]), Fingerprint(wide[i])
 		if a != b {
 			t.Fatalf("config %d differs across worker counts:\n%s\nvs\n%s", i, a, b)
 		}
@@ -110,24 +100,22 @@ func TestViolationsCarryRunContext(t *testing.T) {
 	// Every violation must be reproducible from the log alone: the recorded
 	// message carries the run's seed and scenario parameters. A permanent
 	// ECMP blackhole reliably produces violations to inspect.
-	cfg := poissonCfg("ecmp", 21)
-	cfg.Faults = KillUplinks(0, 1, testScale.Duration/4, 0)
-	res := Run(cfg)
+	s := poissonSpec("ecmp", 40, 21)
+	s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 0, DownAtUs: 250}}
+	res := Run(MustCompile(s))
 	if len(res.Violations) == 0 {
 		t.Fatal("blackhole scenario recorded no violations")
 	}
 	for _, v := range res.Violations {
-		if !strings.Contains(v.Ctx, "seed=21") || !strings.Contains(v.Ctx, "fabric=2x2/3") {
+		if !strings.Contains(v.Ctx, "sim-seed=21") || !strings.Contains(v.Ctx, "fabric=2x2/3") {
 			t.Fatalf("violation context missing run identity: %q", v.String())
 		}
 		if !strings.Contains(v.String(), v.Ctx) {
 			t.Fatalf("String() omits the context: %q", v.String())
 		}
 	}
-	// An explicit Context (e.g. the scenario fuzzer's generator parameters)
-	// replaces the composed default verbatim.
-	cfg = poissonCfg("ecmp", 21)
-	cfg.Faults = KillUplinks(0, 1, testScale.Duration/4, 0)
+	// An explicit Context replaces the compiled spec.Params label verbatim.
+	cfg := MustCompile(s)
 	cfg.Context = "scenario gen-seed=99 custom"
 	res = Run(cfg)
 	if len(res.Violations) == 0 {

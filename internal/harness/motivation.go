@@ -15,12 +15,7 @@ import (
 // over Motiv.SprayPaths parallel paths. Host ids below Motiv.Hosts are the
 // victim flows motivationMetrics measures.
 func motivationConfig(sp spec.Spec) (RunConfig, error) {
-	s := specScale(sp)
 	m := sp.Motiv
-	sch, err := SchemeByName(sp.Scheme, s.LinkDelay, rlbParamsFor(sp, s.LinkDelay))
-	if err != nil {
-		return RunConfig{}, err
-	}
 	nBg := m.Hosts
 	nBurst := nBg / 4
 	if nBurst < 2 {
@@ -28,12 +23,10 @@ func motivationConfig(sp spec.Spec) (RunConfig, error) {
 	}
 	hostsPerLeaf := nBg + 1 + nBurst
 
-	p := topo.Default(2, m.Spines, hostsPerLeaf)
-	p.LinkRate = s.LinkRate
-	p.LinkDelay = s.LinkDelay
-	s.ScaleSwitch(&p.Switch)
-	p.Switch.PFCEnabled = !sp.PFCOff
-	sch.Apply(&p)
+	p := fabricParams(sp, 2, m.Spines, hostsPerLeaf)
+	if err := applyScheme(&p, sp); err != nil {
+		return RunConfig{}, err
+	}
 
 	// Host roles (leaf 0 then leaf 1). Burst hosts sit on leaf 0 so their
 	// line-rate 64 KB flows cross the fabric toward Rc: they are what pauses
@@ -42,9 +35,10 @@ func motivationConfig(sp spec.Spec) (RunConfig, error) {
 	rc := hostsPerLeaf + nBg // its receiver on leaf 1
 	burstBase := nBg + 1     // burst hosts on leaf 0
 
+	maxFlow := sp.MaxFlowKB * 1000
 	fcSize := 25 * 1000 * 1000 // scaled stand-in for the paper's 250 MB flow
-	if s.MaxFlowBytes > 0 && fcSize > 10*s.MaxFlowBytes {
-		fcSize = 10 * s.MaxFlowBytes
+	if maxFlow > 0 && fcSize > 10*maxFlow {
+		fcSize = 10 * maxFlow
 	}
 	burstFlowSize := 64 * 1000
 	burstFlowsPerHost := 10 // scaled stand-in for the paper's 40
@@ -55,6 +49,7 @@ func motivationConfig(sp spec.Spec) (RunConfig, error) {
 		bgLoad = 0.55
 	}
 	sprayPaths, bursts, seed := m.SprayPaths, m.Bursts, sp.SimSeed
+	dur := usTime(sp.DurationUs)
 
 	return RunConfig{
 		Topo: p,
@@ -62,8 +57,8 @@ func motivationConfig(sp spec.Spec) (RunConfig, error) {
 		// specMetrics releases it after extraction.
 		KeepNetwork:      true,
 		StrictInvariants: sp.Strict,
-		Duration:         s.Duration,
-		Drain:            s.Drain,
+		Duration:         dur,
+		Drain:            usTime(sp.DrainUs),
 		Seed:             seed,
 		Inject: func(n *topo.Network) {
 			// Congested flow fc over SprayPaths parallel paths.
@@ -80,7 +75,7 @@ func motivationConfig(sp spec.Spec) (RunConfig, error) {
 
 			// Background pairs Hi -> Ri with Poisson arrivals (Web Search).
 			pairedPoisson(n, rng.New(seed+13), workload.WebSearch(),
-				nBg, hostsPerLeaf, bgLoad, s.Duration, s.MaxFlowBytes)
+				nBg, hostsPerLeaf, bgLoad, dur, maxFlow)
 		},
 	}, nil
 }

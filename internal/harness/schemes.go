@@ -8,17 +8,9 @@ import (
 	"github.com/rlb-project/rlb/internal/fabric"
 	"github.com/rlb-project/rlb/internal/lb"
 	"github.com/rlb-project/rlb/internal/sim"
+	"github.com/rlb-project/rlb/internal/spec"
 	"github.com/rlb-project/rlb/internal/topo"
 )
-
-// Scheme is one evaluated configuration: a base load balancer, optionally
-// with RLB layered on top.
-type Scheme struct {
-	Name string
-	LB   lb.Factory
-	// RLB is nil for vanilla schemes.
-	RLB *core.Params
-}
 
 // baseFactory returns the base LB factory by name, with parameters matched
 // to the paper's configurations.
@@ -41,43 +33,30 @@ func baseFactory(name string, linkDelay sim.Time) (lb.Factory, error) {
 	}
 }
 
-// SchemeByName builds a Scheme from names like "presto", "drill+rlb".
-// rlbParams customizes RLB; pass nil for defaults.
-func SchemeByName(name string, linkDelay sim.Time, rlbParams *core.Params) (Scheme, error) {
-	base, withRLB := name, false
-	if strings.HasSuffix(name, "+rlb") {
-		base, withRLB = strings.TrimSuffix(name, "+rlb"), true
-	}
-	f, err := baseFactory(base, linkDelay)
+// applyScheme installs the spec's load balancer into p: the base scheme's
+// factory and, for a "+rlb" name, RLB parameters with the spec's ablation
+// and sensitivity knobs applied (all-zero knobs = core.DefaultParams).
+func applyScheme(p *topo.Params, s spec.Spec) error {
+	base, withRLB := strings.CutSuffix(s.Scheme, spec.RLBSuffix)
+	f, err := baseFactory(base, p.LinkDelay)
 	if err != nil {
-		return Scheme{}, err
+		return err
 	}
-	s := Scheme{Name: name, LB: f}
-	if withRLB {
-		if rlbParams != nil {
-			p := *rlbParams
-			s.RLB = &p
-		} else {
-			p := core.DefaultParams(linkDelay)
-			s.RLB = &p
-		}
+	p.LB = f
+	if !withRLB {
+		return nil
 	}
-	return s, nil
-}
-
-// MustScheme is SchemeByName that panics on error (for internal tables).
-func MustScheme(name string, linkDelay sim.Time, rlbParams *core.Params) Scheme {
-	s, err := SchemeByName(name, linkDelay, rlbParams)
-	if err != nil {
-		panic(err)
+	rp := core.DefaultParams(p.LinkDelay)
+	rp.DisableRecirculation = s.NoRecirc
+	rp.DisableOrderGuard = s.NoOrderGuard
+	if s.QthFracPct > 0 {
+		rp.QthFraction = float64(s.QthFracPct) / 100
 	}
-	return s
-}
-
-// Apply installs the scheme into topology params.
-func (s Scheme) Apply(p *topo.Params) {
-	p.LB = s.LB
-	p.RLB = s.RLB
+	if s.DeltaTNs > 0 {
+		rp.DeltaT = nsTime(s.DeltaTNs)
+	}
+	p.RLB = &rp
+	return nil
 }
 
 // FourSchemes lists the paper's four base schemes in presentation order.

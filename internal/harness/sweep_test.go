@@ -6,14 +6,6 @@ import (
 	"github.com/rlb-project/rlb/internal/spec"
 )
 
-func sweepTestSpec(loadPct int) spec.Spec {
-	sp := testScale.Spec(5)
-	sp.Scheme = "ecmp"
-	sp.Workload = "webserver"
-	sp.LoadPct = loadPct
-	return sp
-}
-
 func mustRunSpecsAveraged(t *testing.T, specs []spec.Spec, seeds int) []Metrics {
 	t.Helper()
 	out, err := RunSpecsAveraged(specs, seeds)
@@ -27,7 +19,7 @@ func mustRunSpecsAveraged(t *testing.T, specs []spec.Spec, seeds int) []Metrics 
 }
 
 func TestRunSpecsAveragedShape(t *testing.T) {
-	out := mustRunSpecsAveraged(t, []spec.Spec{sweepTestSpec(20), sweepTestSpec(40)}, 2)
+	out := mustRunSpecsAveraged(t, []spec.Spec{poissonSpec("ecmp", 20, 5), poissonSpec("ecmp", 40, 5)}, 2)
 	for i, m := range out {
 		if m.Seeds != 2 {
 			t.Fatalf("Seeds = %d", m.Seeds)
@@ -47,7 +39,7 @@ func TestRunSpecsAveragedShape(t *testing.T) {
 }
 
 func TestRunSpecsAveragedSingleSeedMatchesRun(t *testing.T) {
-	sp := sweepTestSpec(30)
+	sp := poissonSpec("ecmp", 30, 5)
 	direct := Run(MustCompile(sp))
 	avg := mustRunSpecsAveraged(t, []spec.Spec{sp}, 1)[0]
 	if avg.AFCT != direct.Report.AvgFCTms() {
@@ -59,7 +51,7 @@ func TestRunSpecsAveragedSingleSeedMatchesRun(t *testing.T) {
 }
 
 func TestRunSpecsAveragedClampsSeeds(t *testing.T) {
-	out := mustRunSpecsAveraged(t, []spec.Spec{sweepTestSpec(20)}, 0)
+	out := mustRunSpecsAveraged(t, []spec.Spec{poissonSpec("ecmp", 20, 5)}, 0)
 	if out[0].Seeds != 1 {
 		t.Fatalf("seeds not clamped: %d", out[0].Seeds)
 	}

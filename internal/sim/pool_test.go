@@ -250,8 +250,8 @@ func TestEngineDispatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineDispatchTyped measures the pooled typed-event hot path; the
-// committed perf trajectory (BENCH_PR2.json) tracks its ns/op and asserts
+// BenchmarkEngineDispatchTyped measures the pooled typed-event hot path;
+// `make bench-smoke` runs it with -benchmem to show its ns/op and
 // 0 allocs/op.
 func BenchmarkEngineDispatchTyped(b *testing.B) {
 	e := NewEngine()

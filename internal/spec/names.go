@@ -30,8 +30,8 @@ func SchemeNames() []string {
 const RLBSuffix = "+rlb"
 
 // ValidScheme reports whether name parses as a known scheme: a base name,
-// optionally suffixed with "+rlb". It is the name grammar harness.SchemeByName
-// implements; a harness test pins the two registries in agreement.
+// optionally suffixed with "+rlb". It is the name grammar harness.Compile
+// accepts; a harness test pins the two registries in agreement.
 func ValidScheme(name string) bool {
 	base := strings.TrimSuffix(name, RLBSuffix)
 	for _, b := range BaseSchemes {

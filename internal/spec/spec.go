@@ -17,9 +17,9 @@ package spec
 
 import "fmt"
 
-// Spec fully describes one experiment. The zero value is not runnable; use
-// the harness Scale helpers or the scenario generator to build one, or start
-// from `rlbsim -dump-spec`.
+// Spec fully describes one experiment. The zero value is not runnable; start
+// from a harness Scale's spec base, the scenario generator, or
+// `rlbsim -dump-spec`.
 //
 // A spec describes one of three experiment kinds:
 //
@@ -41,8 +41,8 @@ type Spec struct {
 	Leaves       int `json:"leaves"`
 	Spines       int `json:"spines"`
 	HostsPerLeaf int `json:"hostsPerLeaf"`
-	// LinkGbps is the symmetric link rate; switch thresholds are rescaled
-	// from the paper's 40 Gb/s settings exactly as harness.Scale does.
+	// LinkGbps is the symmetric link rate; the harness compiler rescales the
+	// paper's 40 Gb/s switch thresholds to it, keeping their time constants.
 	LinkGbps int `json:"linkGbps"`
 	// LinkDelayNs is the per-hop propagation delay (0 = the 2 µs default
 	// every scale in the repo uses).

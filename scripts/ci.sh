@@ -10,18 +10,20 @@
 #                    fails.
 #   3. race smoke  — -race -short over the simulator internals
 #   4. full suite  — bench-smoke perf gate + all tests incl. golden figures
-#   5. spec verify — canonical-spec contracts: byte-stable JSON round trips,
-#                    compiler/Scale threshold agreement, figure-grid golden,
-#                    committed corpus + repro fixture decode (TESTING.md
-#                    "Spec round-trip tier")
-#   6. telemetry   — observation-only contract: fingerprints bit-identical
+#   5. examples    — every examples/* main runs to a zero exit
+#   6. spec verify — canonical-spec contracts: byte-stable JSON round trips,
+#                    compiler thresholds/fabric params/fault schedules pinned
+#                    to literal values, figure-grid golden, committed
+#                    corpus + repro fixture decode (TESTING.md "Spec
+#                    round-trip tier")
+#   7. telemetry   — observation-only contract: fingerprints bit-identical
 #                    with sampling and events on/off, JSONL golden (series
 #                    and events) byte-stable, event counts reconciled with
 #                    run counters, sampler tick and event record
 #                    allocation-free (TESTING.md "Telemetry tier")
-#   7. fuzz smoke  — metamorphic scenario sweep + seeded-breach meta-test +
+#   8. fuzz smoke  — metamorphic scenario sweep + seeded-breach meta-test +
 #                    time-boxed mutating fuzz over the committed corpus
-#   8. bench pass  — one pass of every benchmark workload (bench/README.md);
+#   9. bench pass  — one pass of every benchmark workload (bench/README.md);
 #                    fails on any simulation that breaks a check (compile
 #                    error, panic, invariant violation, drop under PFC). The
 #                    records are kept next to simlint.jsonl as bench.jsonl.
@@ -56,6 +58,11 @@ echo "==> race smoke (-race -short)"
 echo "==> full suite (perf smoke + tests + golden figures)"
 make bench-smoke
 "$GO" test ./...
+
+# The examples are built by `go build ./...` above; this runs them, so an
+# example whose main panics or exits non-zero fails CI.
+echo "==> examples (run every examples/* main)"
+make examples
 
 # The spec tests also ran inside `go test ./...`; the dedicated tier re-runs
 # them uncached (-count=1) so a cached pass can never mask a drifted golden
