@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race race-short vet lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden bench bench-smoke examples fuzz-smoke fuzz cover clean ci
+.PHONY: all build test short race race-short vet fmt-check lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden results results-verify bench bench-smoke examples fuzz-smoke fuzz cover clean ci
 
 all: build lint test
 
@@ -49,8 +49,8 @@ fuzz-smoke:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScenario ./internal/scenario/
 
-# Coverage over the simulator internals (the golden-figure runs at the repo
-# root dominate runtime and add little line coverage, so internal/... only).
+# Coverage over the simulator internals (internal/... only: the CLIs and
+# examples add little line coverage).
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/...
 	$(GO) tool cover -func=coverage.out | tail -1
@@ -73,9 +73,16 @@ race-short:
 vet:
 	$(GO) vet ./...
 
-# Static-analysis tier: go vet plus the project-specific simlint suite
-# (determinism, poolcheck, timercheck, unitsafe — see TESTING.md).
-lint: vet simlint
+# Formatting gate: gofmt must list no tracked Go file outside testdata/ (the
+# analyzer fixtures under testdata/ are inputs, not project code).
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+
+# Static-analysis tier: the gofmt gate, go vet, and the project-specific
+# simlint suite (determinism, poolcheck, timercheck, unitsafe — see
+# TESTING.md).
+lint: fmt-check vet simlint
 
 simlint:
 	$(GO) run ./cmd/simlint ./...
@@ -99,7 +106,8 @@ examples:
 		$(GO) run ./$$d > /dev/null || exit 1; \
 	done
 
-# Full CI sequence: build → lint → race smoke → full suite with goldens.
+# Full CI sequence: build → lint → race smoke → full suite with goldens →
+# examples → committed figure tables → spec, telemetry, fuzz and bench tiers.
 ci:
 	./scripts/ci.sh
 
@@ -112,6 +120,22 @@ golden:
 # experiments a figure runs, then review the diff.
 grids-golden:
 	$(GO) test ./internal/harness/ -run TestFigureGridsGolden -update-grids
+
+# Regenerate the committed bench-scale figure tables after an intentional
+# change to what a figure measures or prints, then review the diff.
+results:
+	$(GO) run ./cmd/figures -scale bench -seed 11 > results_bench.txt
+
+# Regenerate the figure tables into a temp file and diff every line except
+# the wall-clock `done:` line against the committed results_bench.txt (~21 s
+# on a 2-core host), so the committed tables cannot go stale.
+results-verify:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) run ./cmd/figures -scale bench -seed 11 > "$$tmp/got.txt" || exit 1; \
+	grep -v '^done:' results_bench.txt > "$$tmp/want.txt"; \
+	grep -v '^done:' "$$tmp/got.txt" > "$$tmp/got-tables.txt"; \
+	diff -u "$$tmp/want.txt" "$$tmp/got-tables.txt" || \
+		{ echo "results_bench.txt is stale: run 'make results' and review the diff"; exit 1; }
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

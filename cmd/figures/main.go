@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	figures [-scale bench|default|paper] [-fig 3|4|6|7|8|9|10|all] [-seed N]
+//	figures [-scale bench|default|scale|paper] [-fig 3|4|6|7|8|9|10|irn|all] [-seed N]
 //	figures -fig 7 -dump-spec        # the spec grids behind the figure, as JSON
 //	figures -timeseries fig2.jsonl   # Fig. 2-style queue/pause timeline
 //
@@ -33,22 +33,10 @@ type gridDump struct {
 	Cells []spec.Spec `json:"cells"`
 }
 
-// figOrder is the dump order for -fig all.
-var figOrder = []string{"3", "4", "6", "7", "8", "9", "10", "irn"}
-
-func dumpSpecs(figSel string, scale harness.Scale, seed uint64) int {
-	figs := figOrder
-	if figSel != "all" {
-		figs = []string{figSel}
-	}
+func dumpSpecs(figs []harness.Figure, scale harness.Scale, seed uint64) int {
 	var dumps []gridDump
 	for _, f := range figs {
-		grids, err := harness.FigureGrids(f, scale, seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "figures:", err)
-			return 2
-		}
-		for _, g := range grids {
+		for _, g := range f.Grids(scale, seed) {
 			cells, err := g.Cells()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "figures:", err)
@@ -67,8 +55,12 @@ func dumpSpecs(figSel string, scale harness.Scale, seed uint64) int {
 }
 
 func main() {
-	scaleName := flag.String("scale", "default", "fabric scale: bench, default, or paper")
-	fig := flag.String("fig", "all", "figure to regenerate: 3, 4, 6, 7, 8, 9, 10, irn, or all")
+	var names []string
+	for _, f := range harness.Figures {
+		names = append(names, f.Name)
+	}
+	scaleName := flag.String("scale", "default", "fabric scale: bench, default, scale, or paper")
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(names, ", ")+", or all")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	dumpSpec := flag.Bool("dump-spec", false, "print the figure's spec grids and expanded cells as JSON and exit without running")
@@ -78,20 +70,33 @@ func main() {
 
 	scale, ok := harness.ScaleByName(*scaleName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "figures: unknown scale %q (want bench, default, paper)\n", *scaleName)
+		fmt.Fprintf(os.Stderr, "figures: unknown scale %q (want bench, default, scale, paper)\n", *scaleName)
 		os.Exit(2)
+	}
+	figs := harness.Figures
+	if *fig != "all" {
+		f, err := harness.FigureByName(*fig)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			os.Exit(2)
+		}
+		figs = []harness.Figure{f}
 	}
 
 	if *dumpSpec {
-		os.Exit(dumpSpecs(*fig, scale, *seed))
+		os.Exit(dumpSpecs(figs, scale, *seed))
 	}
 	if *timeseries != "" {
 		os.Exit(runTimeseries(*timeseries, *sampleInterval, scale, *seed))
 	}
 
-	want := func(f string) bool { return *fig == "all" || *fig == f }
-	printed := false
-	emit := func(tables ...*harness.Table) {
+	start := time.Now()
+	for _, f := range figs {
+		tables, err := f.Tables(scale, *seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "figures:", err)
+			os.Exit(1)
+		}
 		for _, t := range tables {
 			if *csv {
 				fmt.Println(t.CSV())
@@ -99,37 +104,6 @@ func main() {
 				fmt.Println(t)
 			}
 		}
-		printed = true
-	}
-
-	start := time.Now()
-	if want("3") {
-		emit(harness.Fig3(scale, *seed))
-	}
-	if want("4") {
-		emit(harness.Fig4Paths(scale, *seed), harness.Fig4Bursts(scale, *seed))
-	}
-	if want("6") {
-		emit(harness.Fig6(scale, *seed))
-	}
-	if want("7") {
-		emit(harness.Fig7(scale, *seed)...)
-	}
-	if want("8") {
-		emit(harness.Fig8Degree(scale, *seed), harness.Fig8Size(scale, *seed))
-	}
-	if want("9") {
-		emit(harness.Fig9(scale, *seed)...)
-	}
-	if want("10") {
-		emit(harness.Fig10Qth(scale, *seed), harness.Fig10DeltaT(scale, *seed))
-	}
-	if want("irn") {
-		emit(harness.ExtIRN(scale, *seed))
-	}
-	if !printed {
-		fmt.Fprintf(os.Stderr, "figures: unknown figure %q\n", *fig)
-		os.Exit(2)
 	}
 	fmt.Printf("done: scale=%s figs=%s wall=%s\n", scale.Name, strings.TrimSpace(*fig), time.Since(start).Round(time.Millisecond))
 }

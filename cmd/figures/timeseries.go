@@ -22,12 +22,12 @@ func runTimeseries(path string, interval time.Duration, scale harness.Scale, see
 	if us < 1 {
 		us = 1
 	}
-	grids, err := harness.FigureGrids("3", scale, seed)
+	fig3, err := harness.FigureByName("3")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return 2
 	}
-	cells, err := grids[0].Cells()
+	cells, err := fig3.Grids(scale, seed)[0].Cells()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return 2

@@ -93,6 +93,35 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// TestSpecOutOfRangeAsymExitsTwo loads a spec whose asymPct is above 100:
+// Compile must reject it as a usage error instead of the topology builder
+// panicking on more asymmetric links than the fabric has.
+func TestSpecOutOfRangeAsymExitsTwo(t *testing.T) {
+	s := spec.Spec{
+		SimSeed: 1, Leaves: 2, Spines: 2, HostsPerLeaf: 2, LinkGbps: 10,
+		Scheme: "drill", Workload: "websearch", LoadPct: 50, AsymPct: 150,
+		DurationUs: 200, DrainUs: 300,
+	}
+	data, err := spec.Encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "asym.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, stderr, code := rlbsim(t, "-spec", path)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
+	}
+	if strings.Contains(stderr, "panic:") {
+		t.Fatalf("panicked:\n%s", stderr)
+	}
+	if !strings.Contains(stderr, "asymPct 150: valid range is 0..100") {
+		t.Fatalf("stderr does not name the valid range:\n%s", stderr)
+	}
+}
+
 // TestDumpSpecReplays freezes a flag-built run with -dump-spec and replays it
 // through -spec: every metric line must match.
 func TestDumpSpecReplays(t *testing.T) {

@@ -12,7 +12,7 @@
 // Entry points:
 //
 //   - internal/core      — RLB (the paper's contribution)
-//   - internal/harness   — experiment runner; one builder per paper figure
+//   - internal/harness   — experiment runner and the paper-figure registry
 //   - cmd/figures        — regenerate every figure
 //   - cmd/rlbsim         — run a single scenario
 //   - examples/          — runnable walkthroughs

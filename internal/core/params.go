@@ -68,10 +68,6 @@ type Params struct {
 	// ablation, "RLB W/O Recir.").
 	DisableRecirculation bool
 
-	// DisableDerivative warns on the static threshold only (ablation of the
-	// predictor's derivative term).
-	DisableDerivative bool
-
 	// DisableOrderGuard lets warned mid-flow packets divert immediately
 	// instead of staying behind recently-committed predecessors (ablation:
 	// trusts the prediction unconditionally, as the paper's Algorithm 1 is

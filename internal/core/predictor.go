@@ -13,7 +13,7 @@ type PredictorStats struct {
 	Samples   uint64
 	Warnings  uint64 // CNMs originated by this predictor
 	Predicted uint64 // warnings triggered by the derivative term
-	Static    uint64 // warnings triggered by the Qth threshold term
+	Static    uint64 // warnings refreshed by an active pause above Qth
 }
 
 // Predictor is RLB's predicting module (§3.2.1) attached to one switch. It
@@ -101,9 +101,8 @@ func (p *Predictor) arm() {
 func (p *Predictor) sample() {
 	p.Stats.Samples++
 	now := p.sw.Eng.Now()
+	qPFC := p.sw.Cfg.PFCThreshold
 	for _, port := range p.monitor {
-		// Under the dynamic-threshold MMU this moves with pool occupancy.
-		qPFC := p.sw.PFCThresholdFor(port)
 		q := p.sw.IngressBytes(port)
 		deriv := q - p.prev[port] // bytes per DeltaT
 		p.prev[port] = q
@@ -120,7 +119,7 @@ func (p *Predictor) sample() {
 		// An already-active pause keeps the warning refreshed for as long
 		// as the upstream is being paused.
 		warn := predictWarn(q, deriv, qPFC, p.qth, p.params.DeltaT, p.warnTime,
-			p.sw.PauseActive(port), p.params.DisableDerivative)
+			p.sw.PauseActive(port))
 		switch warn {
 		case warnStatic:
 			p.Stats.Static++
@@ -139,24 +138,18 @@ type warnCause int
 
 const (
 	warnNone      warnCause = iota
-	warnStatic              // threshold term: static ablation hit, or active-pause refresh
+	warnStatic              // threshold term: active-pause refresh
 	warnPredicted           // derivative term: PFC predicted within the warning window
 )
 
 // predictWarn is the §3.2.1 per-port warn decision, extracted pure so the
 // boundary cases are table-testable: q is the sampled ingress-queue length,
-// deriv its growth in bytes per deltaT, qPFC the port's current (dynamic)
-// PFC threshold, qth the effective warning threshold, warnTime the
-// remaining-time threshold T = (QPFC − Qth)/C scaled for fan-in, paused
-// whether the port is already pausing its upstream, and staticOnly the
-// DisableDerivative ablation.
-func predictWarn(q, deriv, qPFC, qth int, deltaT, warnTime sim.Time, paused, staticOnly bool) warnCause {
+// deriv its growth in bytes per deltaT, qPFC the switch's PFC threshold,
+// qth the effective warning threshold, warnTime the remaining-time
+// threshold T = (QPFC − Qth)/C scaled for fan-in, and paused whether the
+// port is already pausing its upstream.
+func predictWarn(q, deriv, qPFC, qth int, deltaT, warnTime sim.Time, paused bool) warnCause {
 	switch {
-	case staticOnly:
-		// Static ablation: threshold only, growth ignored.
-		if q >= qth {
-			return warnStatic
-		}
 	case q < qth:
 		// Below the congestion-activation threshold: no prediction.
 	case paused:

@@ -116,22 +116,6 @@ func TestPredictorDerivativeFiresBeforeStaticThreshold(t *testing.T) {
 	}
 }
 
-func TestPredictorStaticOnlyAblation(t *testing.T) {
-	cfg := switchsim.DefaultConfig()
-	cfg.PFCThreshold = 100 * 1000
-	params := Params{DisableDerivative: true}
-	r := newPredRig(cfg, params, 4*units.Gbps)
-	r.flood(300)
-	r.eng.RunUntil(5 * sim.Millisecond)
-	r.pred.Stop()
-	if r.pred.Stats.Predicted != 0 {
-		t.Fatal("derivative fired despite ablation")
-	}
-	if r.pred.Stats.Static == 0 {
-		t.Fatal("static threshold never fired")
-	}
-}
-
 func TestPredictorRateLimitsCNMs(t *testing.T) {
 	cfg := switchsim.DefaultConfig()
 	cfg.PFCThreshold = 50 * 1000

@@ -82,8 +82,8 @@ func TestQthClamping(t *testing.T) {
 
 // TestPredictWarn tables the per-sample warn decision (predictWarn, the pure
 // core of Predictor.sample) across its boundaries: the activation threshold,
-// the remaining-time equality, non-growing queues, pause refresh, and the
-// static ablation. Fixed frame: qPFC=64000, qth=16000, deltaT=2us,
+// the remaining-time equality, non-growing queues, and pause refresh.
+// Fixed frame: qPFC=64000, qth=16000, deltaT=2us,
 // warnTime=5us, so the derivative branch warns iff
 // (64000-q)*2us/deriv <= 5us.
 func TestPredictWarn(t *testing.T) {
@@ -93,46 +93,40 @@ func TestPredictWarn(t *testing.T) {
 	)
 	deltaT, warnTime := 2*sim.Microsecond, 5*sim.Microsecond
 	cases := []struct {
-		name       string
-		q, deriv   int
-		paused     bool
-		staticOnly bool
-		want       warnCause
+		name     string
+		q, deriv int
+		paused   bool
+		want     warnCause
 	}{
 		// Below qth nothing fires, however steep the growth: prediction only
 		// activates once the queue shows sustained congestion.
-		{"below-qth-huge-deriv", qth - 1, 1 << 20, false, false, warnNone},
+		{"below-qth-huge-deriv", qth - 1, 1 << 20, false, warnNone},
 		// At qth with growth fast enough to cross within warnTime:
 		// (64000-16000)*2/19200 = 5us exactly; <= is inclusive.
-		{"remaining-equals-warntime", qth, 19200, false, false, warnPredicted},
+		{"remaining-equals-warntime", qth, 19200, false, warnPredicted},
 		// One byte/deltaT slower leaves remaining just above warnTime.
-		{"remaining-just-over", qth, 19199, false, false, warnNone},
+		{"remaining-just-over", qth, 19199, false, warnNone},
 		// Faster growth predicts comfortably.
-		{"fast-growth", 32000, 32000, false, false, warnPredicted},
+		{"fast-growth", 32000, 32000, false, warnPredicted},
 		// (64000-32000)*2/12800 = 5us exactly at the halfway queue.
-		{"halfway-boundary", 32000, 12800, false, false, warnPredicted},
-		{"halfway-just-over", 32000, 12799, false, false, warnNone},
+		{"halfway-boundary", 32000, 12800, false, warnPredicted},
+		{"halfway-just-over", 32000, 12799, false, warnNone},
 		// Zero or draining derivative never predicts, even near qPFC.
-		{"steady-queue", qPFC - 1, 0, false, false, warnNone},
-		{"draining-queue", qPFC - 1, -4000, false, false, warnNone},
+		{"steady-queue", qPFC - 1, 0, false, warnNone},
+		{"draining-queue", qPFC - 1, -4000, false, warnNone},
 		// At or above qPFC with any growth: remaining <= 0, warn.
-		{"at-qpfc", qPFC, 1, false, false, warnPredicted},
+		{"at-qpfc", qPFC, 1, false, warnPredicted},
 		// An active pause refreshes the warning regardless of growth.
-		{"paused-refresh", qth, -4000, true, false, warnStatic},
+		{"paused-refresh", qth, -4000, true, warnStatic},
 		// ... but only above the activation threshold.
-		{"paused-below-qth", qth - 1, -4000, true, false, warnNone},
-		// Static ablation: threshold comparison only.
-		{"static-at-qth", qth, 0, false, true, warnStatic},
-		{"static-below-qth", qth - 1, 1 << 20, false, true, warnNone},
-		// Static ablation ignores the pause state below threshold.
-		{"static-paused-below-qth", qth - 1, 0, true, true, warnNone},
+		{"paused-below-qth", qth - 1, -4000, true, warnNone},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := predictWarn(tc.q, tc.deriv, qPFC, qth, deltaT, warnTime, tc.paused, tc.staticOnly)
+			got := predictWarn(tc.q, tc.deriv, qPFC, qth, deltaT, warnTime, tc.paused)
 			if got != tc.want {
-				t.Fatalf("predictWarn(q=%d, deriv=%d, paused=%v, static=%v) = %v, want %v",
-					tc.q, tc.deriv, tc.paused, tc.staticOnly, got, tc.want)
+				t.Fatalf("predictWarn(q=%d, deriv=%d, paused=%v) = %v, want %v",
+					tc.q, tc.deriv, tc.paused, got, tc.want)
 			}
 		})
 	}

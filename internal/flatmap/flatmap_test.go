@@ -126,7 +126,7 @@ func TestKeysSortedRegardlessOfHistory(t *testing.T) {
 		a.Put(k, int(k))
 	}
 	for k := uint32(0); k < 150; k++ {
-		b.Put(150-1-k, int(150 - 1 - k))
+		b.Put(150-1-k, int(150-1-k))
 	}
 	for k := uint32(100); k < 150; k++ {
 		b.Delete(k)

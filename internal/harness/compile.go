@@ -161,6 +161,9 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 	if err := checkSpines("spines", s.Spines); err != nil {
 		return RunConfig{}, err
 	}
+	if s.AsymPct < 0 || s.AsymPct > 100 {
+		return RunConfig{}, fmt.Errorf("asymPct %d: valid range is 0..100", s.AsymPct)
+	}
 	p := fabricParams(s, s.Leaves, s.Spines, s.HostsPerLeaf)
 	if s.AsymPct > 0 {
 		p.AsymFraction = float64(s.AsymPct) / 100
@@ -244,13 +247,19 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 // IncastKB total to a randomly drawn client. Initiations are spaced so each
 // completes before the next begins even with contention slowdown: the
 // client's downlink needs totalBytes/rate, and PFC/retransmissions can
-// stretch that several-fold. The network is retained so incastMetrics can
-// reconstruct the per-initiation groups.
+// stretch that several-fold. Each initiation starts all its flows in one
+// event, and the network is retained, so incastMetrics can group the flows
+// by initiation from their start times alone.
 func compileIncastReps(s spec.Spec, p topo.Params) RunConfig {
 	totalBytes := s.IncastKB * 1000
 	reps := s.IncastReps
 	degree := s.IncastDegree
-	gap := incastGap(s)
+	// Initiations are four ideal transfer times apart, or an even share of
+	// the traffic window when that is longer.
+	gap := 4 * incastIdeal(s)
+	if share := usTime(s.DurationUs) / sim.Time(reps); gap < share {
+		gap = share
+	}
 	seed := s.SimSeed
 	return RunConfig{
 		Topo:             p,
@@ -289,17 +298,6 @@ func compileIncastReps(s spec.Spec, p topo.Params) RunConfig {
 
 // incastIdeal is one initiation's line-rate transfer time into the client.
 func incastIdeal(s spec.Spec) sim.Time { return units.TxTime(s.IncastKB*1000, specRate(s)) }
-
-// incastGap is the initiation spacing of a repeated-incast spec: four ideal
-// transfer times, or an even share of the traffic window when that is longer.
-// The metrics extractor reconstructs initiation times from it.
-func incastGap(s spec.Spec) sim.Time {
-	gap := 4 * incastIdeal(s)
-	if share := usTime(s.DurationUs) / sim.Time(s.IncastReps); gap < share {
-		gap = share
-	}
-	return gap
-}
 
 // compileMotivation builds the Fig. 2 scenario config from a motivation-kind
 // spec. The topology is derived (2 leaves x Motiv.Spines, host count from

@@ -172,6 +172,7 @@ func TestCompileValidation(t *testing.T) {
 		{"no leaves", func(s *spec.Spec) { s.Leaves = 0 }, "fabric"},
 		{"no spines", func(s *spec.Spec) { s.Spines = 0 }, "valid range is 1..64"},
 		{"too many spines", func(s *spec.Spec) { s.Spines = 65 }, "valid range is 1..64"},
+		{"asymPct over 100", func(s *spec.Spec) { s.AsymPct = 150 }, "asymPct 150: valid range is 0..100"},
 		{"motiv too many spines", func(s *spec.Spec) {
 			*s = DefaultScale.MotivSpec(1, 2, 2)
 			s.Scheme = "ecmp"

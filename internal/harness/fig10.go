@@ -3,70 +3,67 @@ package harness
 import (
 	"fmt"
 
-	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/spec"
 )
 
-// fig10Base is the scheme used for the parameter sensitivity study.
-const fig10Base = "drill"
-
-// Fig10Qth reproduces Fig. 10(a): normalized AFCT as the PFC warning
-// threshold Qth sweeps 20%-80% of the PFC threshold, under Web Server and
-// Data Mining. AFCT is normalized per workload to the best value in the
-// sweep (1.0 = optimum).
-func Fig10Qth(s Scale, seed uint64) *Table {
-	g := Fig10QthGrid(s, seed)
-	t := &Table{
-		Title:   "Fig. 10(a) — sensitivity to Qth (normalized AFCT, " + fig10Base + "+rlb)",
-		Headers: []string{"workload"},
+// fig10Grids is the parameter sensitivity study: DRILL+RLB at 50% load under
+// Web Server and Data Mining, sweeping (a) the PFC-warning threshold Qth
+// from 20% to 80% of the PFC threshold and (b) the queue-derivative sampling
+// interval Δt from 2 to 5 us.
+func fig10Grids(s Scale, seed uint64) []spec.Grid {
+	grid := func(name string, param spec.Axis) spec.Grid {
+		base := s.Spec(seed)
+		base.Scheme = "drill" + spec.RLBSuffix
+		base.LoadPct = 50
+		return spec.Grid{
+			Name:  name,
+			Seeds: s.seeds(),
+			Base:  base,
+			Axes: []spec.Axis{
+				{Field: "workload", Strs: []string{"webserver", "datamining"}},
+				param,
+			},
+		}
 	}
-	for _, pct := range g.Axes[1].Ints {
-		t.Headers = append(t.Headers, fmt.Sprintf("%d%%", pct))
-	}
-	fig10Rows(t, g)
-	return t
-}
-
-// Fig10DeltaT reproduces Fig. 10(b): normalized AFCT as the derivative
-// sampling interval Δt sweeps 2-5 us.
-func Fig10DeltaT(s Scale, seed uint64) *Table {
-	g := Fig10DeltaTGrid(s, seed)
-	t := &Table{
-		Title:   "Fig. 10(b) — sensitivity to Δt (normalized AFCT, " + fig10Base + "+rlb)",
-		Headers: []string{"workload"},
-	}
-	for _, ns := range g.Axes[1].Ints {
-		t.Headers = append(t.Headers, (sim.Time(ns) * sim.Nanosecond).String())
-	}
-	fig10Rows(t, g)
-	return t
-}
-
-// fig10Rows runs the sensitivity grid (workload-major, parameter fastest) and
-// adds one normalized row per workload.
-func fig10Rows(t *Table, g spec.Grid) {
-	points := g.Axes[1].Len()
-	_, results := MustRunGrid(g)
-	for w, wl := range g.Axes[0].Strs {
-		t.AddRow(normalizedRow(wl, results[w*points:(w+1)*points])...)
+	return []spec.Grid{
+		grid("fig10_qth", spec.Axis{Field: "qthFracPct", Ints: []int{20, 30, 40, 50, 60, 70, 80}}),
+		grid("fig10_deltat", spec.Axis{Field: "deltaTNs", Ints: []int{2000, 2500, 3000, 3500, 4000, 4500, 5000}}),
 	}
 }
 
-// normalizedRow converts AFCTs into a row normalized to the sweep's best.
-func normalizedRow(label string, results []Metrics) []interface{} {
+// fig10Tables reproduces Fig. 10: AFCT per workload across each sweep,
+// normalized to the sweep's best value (1.0 = optimum).
+func fig10Tables(_ Scale, runs []run) []*Table {
+	qth, deltaT := runs[0], runs[1]
+	workload := func(c spec.Spec) string { return c.Workload }
+	a := &Table{
+		Title:   "Fig. 10(a) — sensitivity to Qth (normalized AFCT, " + qth.grid.Base.Scheme + ")",
+		Headers: qth.headers("workload", func(pct int) string { return fmt.Sprintf("%d%%", pct) }),
+	}
+	pivot(a, qth, workload, normalized)
+	b := &Table{
+		Title:   "Fig. 10(b) — sensitivity to Δt (normalized AFCT, " + deltaT.grid.Base.Scheme + ")",
+		Headers: deltaT.headers("workload", func(ns int) string { return nsTime(ns).String() }),
+	}
+	pivot(b, deltaT, workload, normalized)
+	return []*Table{a, b}
+}
+
+// normalized divides every AFCT of a sweep by the sweep's smallest nonzero
+// one; a zero AFCT (no completed flows) stays 0.
+func normalized(row []Metrics) []float64 {
 	best := 0.0
-	for _, r := range results {
-		if r.AFCT > 0 && (best == 0 || r.AFCT < best) {
-			best = r.AFCT
+	for _, m := range row {
+		if m.AFCT > 0 && (best == 0 || m.AFCT < best) {
+			best = m.AFCT
 		}
 	}
-	row := []interface{}{label}
-	for _, r := range results {
-		if best == 0 {
-			row = append(row, 0.0)
-			continue
-		}
-		row = append(row, r.AFCT/best)
+	out := make([]float64, len(row))
+	if best == 0 {
+		return out
 	}
-	return row
+	for i, m := range row {
+		out[i] = m.AFCT / best
+	}
+	return out
 }

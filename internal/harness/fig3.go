@@ -1,26 +1,41 @@
 package harness
 
-// Fig3 reproduces Fig. 3: the four load-balancing schemes in the Fig. 2
-// scenario, with PFC enabled vs. disabled, measuring (a) PFC pause rate,
-// (b) 99th-percentile out-of-order degree, (c) average FCT and (d) 99th
-// percentile FCT of the background flows.
-func Fig3(s Scale, seed uint64) *Table {
+import "github.com/rlb-project/rlb/internal/spec"
+
+// fig3Grids sweeps the four base schemes with PFC on/off in the Fig. 2
+// motivation scenario.
+func fig3Grids(s Scale, seed uint64) []spec.Grid {
+	return []spec.Grid{{
+		Name:  "fig3",
+		Seeds: s.seeds(),
+		Base:  s.MotivSpec(seed, 5, 2),
+		Axes: []spec.Axis{
+			{Field: "scheme", Strs: FourSchemes},
+			{Field: "pfcOff", Ints: []int{0, 1}},
+		},
+	}}
+}
+
+// fig3Tables reproduces Fig. 3: (a) PFC pause rate, (b) 99th-percentile
+// out-of-order degree, (c) average FCT and (d) 99th percentile FCT of the
+// background flows, per scheme with PFC enabled vs. disabled.
+func fig3Tables(s Scale, runs []run) []*Table {
+	r := runs[0]
 	t := &Table{
 		Title: "Fig. 3 — LB schemes with vs. without PFC (motivation scenario)",
 		Headers: []string{"scheme", "pfc", "pause/ms", "p99 OOD (pkts)", "OOO%",
 			"AFCT (ms)", "p99 FCT (ms)", "bg flows done"},
 	}
-	cells, results := MustRunGrid(Fig3Grid(s, seed))
-	for i, c := range cells {
-		r := results[i]
-		pfcLabel := "on"
+	for i, c := range r.cells {
+		m := r.ms[i]
+		pfc := "on"
 		if c.PFCOff {
-			pfcLabel = "off"
+			pfc = "off"
 		}
-		t.AddRow(c.Scheme, pfcLabel,
-			r.PauseRate, r.OODp99, r.OOOPct, r.AFCT, r.P99, r.Completed)
+		t.AddRow(c.Scheme, pfc, m.PauseRate, m.OODp99, m.OOOPct, m.AFCT, m.P99, m.Completed)
 	}
+	motiv := r.grid.Base.Motiv
 	t.AddNote("scale=%s: %d paths, %d bg pairs, %d seeds; paper uses 40 paths, 100 pairs",
-		s.Name, s.MotivSpines, s.MotivHosts, s.seeds())
-	return t
+		s.Name, motiv.Spines, motiv.Hosts, r.grid.Seeds)
+	return []*Table{t}
 }

@@ -1,51 +1,46 @@
 package harness
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
 
-// Fig4Paths reproduces Fig. 4(a): the ratio of out-of-order packets as the
-// congested flow is sprayed over more parallel paths (more paths paused by
-// PFC -> more reordering for every scheme).
-func Fig4Paths(s Scale, seed uint64) *Table {
-	t := &Table{
-		Title:   "Fig. 4(a) — out-of-order packets (%) vs. affected paths",
-		Headers: []string{"scheme"},
+	"github.com/rlb-project/rlb/internal/spec"
+)
+
+// fig4Grids sweeps, in the Fig. 2 motivation scenario, (a) the number of
+// paths the congested flow sprays over and (b) the number of continuous
+// burst waves.
+func fig4Grids(s Scale, seed uint64) []spec.Grid {
+	grid := func(name string, axis spec.Axis) spec.Grid {
+		return spec.Grid{Name: name, Seeds: s.seeds(), Base: s.MotivSpec(seed, 5, 2),
+			Axes: []spec.Axis{{Field: "scheme", Strs: FourSchemes}, axis}}
 	}
-	paths := sweepInts(1, s.MotivSpines, 6)
-	for _, k := range paths {
-		t.Headers = append(t.Headers, fmt.Sprintf("%dp", k))
+	return []spec.Grid{
+		grid("fig4_paths", spec.Axis{Field: "sprayPaths", Ints: sweepInts(1, s.MotivSpines, 6)}),
+		grid("fig4_bursts", spec.Axis{Field: "bursts", Ints: []int{1, 2, 3, 4, 5, 6}}),
 	}
-	_, results := MustRunGrid(Fig4PathsGrid(s, seed))
-	idx := 0
-	for _, name := range FourSchemes {
-		row := []interface{}{name}
-		for range paths {
-			row = append(row, results[idx].OOOPct)
-			idx++
-		}
-		t.AddRow(row...)
-	}
-	t.AddNote("paper sweeps 5..30 of 40 paths; this scale sweeps %v of %d", paths, s.MotivSpines)
-	return t
 }
 
-// Fig4Bursts reproduces Fig. 4(b): out-of-order packet ratio as the number
-// of continuous bursts grows.
-func Fig4Bursts(s Scale, seed uint64) *Table {
-	t := &Table{
+// fig4Tables reproduces Fig. 4: the ratio of out-of-order packets (a) as the
+// congested flow is sprayed over more parallel paths (more paths paused by
+// PFC -> more reordering for every scheme) and (b) as the number of
+// continuous bursts grows.
+func fig4Tables(_ Scale, runs []run) []*Table {
+	paths, bursts := runs[0], runs[1]
+	ooo := each(func(m Metrics) float64 { return m.OOOPct })
+	a := &Table{
+		Title:   "Fig. 4(a) — out-of-order packets (%) vs. affected paths",
+		Headers: paths.headers("scheme", func(k int) string { return fmt.Sprintf("%dp", k) }),
+	}
+	pivot(a, paths, schemeOf, ooo)
+	a.AddNote("paper sweeps 5..30 of 40 paths; this scale sweeps %v of %d",
+		paths.cols(), paths.grid.Base.Motiv.Spines)
+	b := &Table{
 		Title:   "Fig. 4(b) — out-of-order packets (%) vs. continuous bursts",
-		Headers: []string{"scheme", "1", "2", "3", "4", "5", "6"},
+		Headers: bursts.headers("scheme", strconv.Itoa),
 	}
-	_, results := MustRunGrid(Fig4BurstsGrid(s, seed))
-	idx := 0
-	for _, name := range FourSchemes {
-		row := []interface{}{name}
-		for range t.Headers[1:] {
-			row = append(row, results[idx].OOOPct)
-			idx++
-		}
-		t.AddRow(row...)
-	}
-	return t
+	pivot(b, bursts, schemeOf, ooo)
+	return []*Table{a, b}
 }
 
 // sweepInts returns up to n roughly even values in [lo, hi], always

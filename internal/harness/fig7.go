@@ -6,39 +6,39 @@ import (
 	"github.com/rlb-project/rlb/internal/spec"
 )
 
-// fig7Schemes are the schemes compared in Fig. 7.
-var fig7Schemes = []string{"drill", "drill+rlb", "hermes", "hermes+rlb"}
-
-// Fig7 reproduces Fig. 7: average FCT on the asymmetric topology (20% of
-// leaf-spine links at quarter rate) for DRILL and Hermes with and without
-// RLB, across the four realistic workloads and loads 0.2-0.7.
-func Fig7(s Scale, seed uint64) []*Table {
-	var tables []*Table
+// fig7Grids sweeps DRILL and Hermes with and without RLB x load 0.2-0.7 on
+// the asymmetric fabric (20% of leaf-spine links at quarter rate), one grid
+// per realistic workload.
+func fig7Grids(s Scale, seed uint64) []spec.Grid {
+	var gs []spec.Grid
 	for _, wl := range spec.WorkloadNames() {
-		tables = append(tables, fig7One(s, wl, seed))
+		base := s.Spec(seed)
+		base.Workload = wl
+		base.AsymPct = 20
+		gs = append(gs, spec.Grid{
+			Name:  "fig7_" + wl,
+			Seeds: s.seeds(),
+			Base:  base,
+			Axes: []spec.Axis{
+				{Field: "scheme", Strs: []string{"drill", "drill+rlb", "hermes", "hermes+rlb"}},
+				{Field: "loadPct", Ints: []int{20, 30, 40, 50, 60, 70}},
+			},
+		})
 	}
-	return tables
+	return gs
 }
 
-func fig7One(s Scale, wl string, seed uint64) *Table {
-	t := &Table{
-		Title:   fmt.Sprintf("Fig. 7 — AFCT (ms) on asymmetric topology, %s workload", wl),
-		Headers: []string{"scheme"},
-	}
-	g := Fig7Grid(s, wl, seed)
-	loads := g.Axes[1].Ints
-	for _, l := range loads {
-		t.Headers = append(t.Headers, fmt.Sprintf("load %.1f", float64(l)/100))
-	}
-	_, results := MustRunGrid(g)
-	idx := 0
-	for _, name := range fig7Schemes {
-		row := []interface{}{name}
-		for range loads {
-			row = append(row, results[idx].AFCT)
-			idx++
+// fig7Tables reproduces Fig. 7: average FCT per scheme and load, one table
+// per workload.
+func fig7Tables(_ Scale, runs []run) []*Table {
+	var tables []*Table
+	for _, r := range runs {
+		t := &Table{
+			Title:   fmt.Sprintf("Fig. 7 — AFCT (ms) on asymmetric topology, %s workload", r.grid.Base.Workload),
+			Headers: r.headers("scheme", func(l int) string { return fmt.Sprintf("load %.1f", float64(l)/100) }),
 		}
-		t.AddRow(row...)
+		pivot(t, r, schemeOf, each(func(m Metrics) float64 { return m.AFCT }))
+		tables = append(tables, t)
 	}
-	return t
+	return tables
 }

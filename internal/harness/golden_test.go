@@ -58,9 +58,24 @@ func TestGoldenFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-scale golden run skipped in -short mode")
 	}
-	got := map[string]goldenTable{
-		"fig3":       goldenFromTable(Fig3(BenchScale, goldenSeed)),
-		"fig4_paths": goldenFromTable(Fig4Paths(BenchScale, goldenSeed)),
+	// Every table of figures 3 and 4, keyed by the grid it renders.
+	got := map[string]goldenTable{}
+	for _, name := range []string{"3", "4"} {
+		f, err := FigureByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids := f.Grids(BenchScale, goldenSeed)
+		tables, err := f.Tables(BenchScale, goldenSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tables) != len(grids) {
+			t.Fatalf("figure %s: %d tables for %d grids", name, len(tables), len(grids))
+		}
+		for i, tbl := range tables {
+			got[grids[i].Name] = goldenFromTable(tbl)
+		}
 	}
 
 	path := goldenPath(t)

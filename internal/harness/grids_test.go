@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/rlb-project/rlb/internal/spec"
@@ -19,20 +20,12 @@ import (
 // change to which experiments a paper figure runs.
 var updateGrids = flag.Bool("update-grids", false, "rewrite testdata/grids_golden.json")
 
-// gridFigs are the figure keys FigureGrids serves, in dump order.
-var gridFigs = []string{"3", "4", "6", "7", "8", "9", "10", "irn"}
-
 // allFigureGrids collects every figure's grids at the default scale, seed 1 —
 // the exact inputs `cmd/figures` runs with no flags.
-func allFigureGrids(t *testing.T) []spec.Grid {
-	t.Helper()
+func allFigureGrids() []spec.Grid {
 	var out []spec.Grid
-	for _, f := range gridFigs {
-		gs, err := FigureGrids(f, DefaultScale, 1)
-		if err != nil {
-			t.Fatalf("FigureGrids(%q): %v", f, err)
-		}
-		out = append(out, gs...)
+	for _, f := range Figures {
+		out = append(out, f.Grids(DefaultScale, 1)...)
 	}
 	return out
 }
@@ -43,7 +36,7 @@ func allFigureGrids(t *testing.T) []spec.Grid {
 // simulations the figures ask for, and fails with a reviewable JSON diff
 // instead of mysteriously shifted metrics.
 func TestFigureGridsGolden(t *testing.T) {
-	got, err := spec.EncodeGrids(allFigureGrids(t))
+	got, err := spec.EncodeGrids(allFigureGrids())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +73,7 @@ func TestFigureGridsGolden(t *testing.T) {
 // every cell compiles — no figure can reach the sweep engine with an invalid
 // axis field or a cell the compiler rejects.
 func TestFigureGridsExpand(t *testing.T) {
-	for _, g := range allFigureGrids(t) {
+	for _, g := range allFigureGrids() {
 		cells, err := g.Cells()
 		if err != nil {
 			t.Errorf("grid %q: %v", g.Name, err)
@@ -98,7 +91,14 @@ func TestFigureGridsExpand(t *testing.T) {
 }
 
 func TestFigureGridsUnknownFigure(t *testing.T) {
-	if _, err := FigureGrids("2", DefaultScale, 1); err == nil {
+	_, err := FigureByName("2")
+	if err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+	if !strings.Contains(err.Error(), "3, 4, 6, 7, 8, 9, 10, irn") {
+		t.Fatalf("error does not list the valid names: %v", err)
+	}
+	if f, err := FigureByName("irn"); err != nil || f.Name != "irn" {
+		t.Fatalf("FigureByName(irn) = %q, %v", f.Name, err)
 	}
 }

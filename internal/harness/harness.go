@@ -188,14 +188,6 @@ func Run(cfg RunConfig) *Result {
 	return res
 }
 
-// RunAll executes configs concurrently on Parallel's worker pool and returns
-// results in input order.
-func RunAll(cfgs []RunConfig) []*Result {
-	results := make([]*Result, len(cfgs))
-	Parallel(len(cfgs), 0, func(i int) { results[i] = Run(cfgs[i]) })
-	return results
-}
-
 // Parallel calls do(i) for every i in [0, n) on up to `workers` goroutines
 // (GOMAXPROCS when workers <= 0) and returns once every call has finished.
 // It is the only non-test code in the repository that starts goroutines.

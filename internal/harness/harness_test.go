@@ -44,15 +44,15 @@ func TestRunPoissonScenario(t *testing.T) {
 	}
 }
 
+// TestRunAllOrderAndParallel runs configs of rising load on Parallel's
+// worker pool: each result must land in its input slot.
 func TestRunAllOrderAndParallel(t *testing.T) {
 	var cfgs []RunConfig
 	for _, l := range []int{10, 20, 30, 40} {
 		cfgs = append(cfgs, MustCompile(poissonSpec("ecmp", l, 5)))
 	}
-	results := RunAll(cfgs)
-	if len(results) != 4 {
-		t.Fatalf("%d results", len(results))
-	}
+	results := make([]*Result, len(cfgs))
+	Parallel(len(cfgs), 0, func(i int) { results[i] = Run(cfgs[i]) })
 	// Higher load must generate more flows (same seed, same duration).
 	for i := 1; i < len(results); i++ {
 		if results[i].Report.Flows <= results[i-1].Report.Flows {
@@ -153,17 +153,20 @@ func TestNormalizedRow(t *testing.T) {
 	for _, afct := range []float64{4, 2, 0, 8} {
 		ms = append(ms, Metrics{AFCT: afct})
 	}
-	row := normalizedRow("x", ms)
-	want := []interface{}{"x", 2.0, 1.0, 0.0, 4.0}
-	if len(row) != len(want) {
-		t.Fatalf("row = %v, want %v", row, want)
+	got := normalized(ms)
+	want := []float64{2, 1, 0, 4}
+	if len(got) != len(want) {
+		t.Fatalf("row = %v, want %v", got, want)
 	}
 	for i := range want {
-		if row[i] != want[i] {
-			t.Fatalf("row = %v, want %v", row, want)
+		if got[i] != want[i] {
+			t.Fatalf("row = %v, want %v", got, want)
 		}
 	}
-	if row := normalizedRow("x", nil); len(row) != 1 {
-		t.Fatalf("empty sweep row = %v", row)
+	if got := normalized([]Metrics{{}, {}}); got[0] != 0 || got[1] != 0 {
+		t.Fatalf("sweep with no completed flows = %v", got)
+	}
+	if got := normalized(nil); len(got) != 0 {
+		t.Fatalf("empty sweep row = %v", got)
 	}
 }

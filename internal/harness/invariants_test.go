@@ -48,6 +48,9 @@ func TestIdenticalSeedsIdenticalRuns(t *testing.T) {
 	}
 }
 
+// TestRunAllIndependentOfWorkerCount runs the same configs on one Parallel
+// worker and on eight: every run's fingerprint must match (Parallel's
+// worker-isolation contract).
 func TestRunAllIndependentOfWorkerCount(t *testing.T) {
 	mkCfgs := func() []RunConfig {
 		var cfgs []RunConfig
@@ -86,7 +89,9 @@ func TestStrictInvariantsCleanAcrossSchemes(t *testing.T) {
 		cfg.StrictInvariants = true
 		cfgs = append(cfgs, cfg)
 	}
-	for i, res := range RunAll(cfgs) {
+	results := make([]*Result, len(cfgs))
+	Parallel(len(cfgs), 0, func(i int) { results[i] = Run(cfgs[i]) })
+	for i, res := range results {
 		if res.InvariantChecks == 0 {
 			t.Errorf("%s: strict checker ran zero assertions", schemes[i])
 		}
@@ -128,20 +133,27 @@ func TestViolationsCarryRunContext(t *testing.T) {
 
 func TestMotivationStrictAndUnretained(t *testing.T) {
 	// The motivation scenario (PFC storms, recirculation, spraying) is the
-	// hardest path for the checker; it must stay clean in strict mode, and
-	// the sweep's metric extraction must not leak the retained network.
+	// hardest path for the checker; it must stay clean in strict mode. Its
+	// metrics need the retained network, so RunSpecsAveraged takes them on
+	// the worker that ran the simulation and keeps only the Metrics value,
+	// never the Result: those metrics must equal a direct extraction.
 	sp := testScale.MotivSpec(3, 2, 2)
 	sp.Scheme = "drill"
 	sp.Strict = true
 	res := Run(MustCompile(sp))
-	specMetrics(sp, res)
-	if res.Network != nil {
-		t.Fatal("specMetrics leaked Result.Network")
-	}
 	if res.InvariantChecks == 0 {
 		t.Fatal("checker not wired through the motivation path")
 	}
 	if len(res.Violations) != 0 {
 		t.Fatalf("violations: %v", res.Violations)
+	}
+	direct := specMetrics(sp, res)
+	direct.Seeds = 1
+	swept, err := RunSpecsAveraged([]spec.Spec{sp}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if swept[0] != direct {
+		t.Fatalf("sweep metrics %+v differ from direct extraction %+v", swept[0], direct)
 	}
 }

@@ -54,7 +54,7 @@ func motivationConfig(sp spec.Spec) (RunConfig, error) {
 	return RunConfig{
 		Topo: p,
 		// KeepNetwork so motivationMetrics can separate the victim flows;
-		// specMetrics releases it after extraction.
+		// RunSpecsAveraged drops the result once its metrics are taken.
 		KeepNetwork:      true,
 		StrictInvariants: sp.Strict,
 		Duration:         dur,

@@ -43,16 +43,21 @@ type Metrics struct {
 	Seeds      int
 }
 
+// averaged lists the fields RunSpecsAveraged averages over seeds (the
+// counters it sums are not among them).
+func (m *Metrics) averaged() []*float64 {
+	return []*float64{&m.AFCT, &m.P25, &m.P50, &m.P75, &m.P90, &m.P99, &m.OOOPct,
+		&m.OODp99, &m.PauseRate, &m.Completed, &m.OOORatio, &m.ICTms}
+}
+
 // specMetrics extracts one run's raw metric values for the spec that compiled
-// it, dispatching on the spec's experiment kind. It releases r.Network after
-// extraction so a sweep's worth of retained topologies is not pinned.
+// it, dispatching on the spec's experiment kind.
 func specMetrics(s spec.Spec, r *Result) Metrics {
-	defer func() { r.Network = nil }()
 	switch {
 	case s.Motiv != nil:
 		return motivationMetrics(s, r)
 	case s.IncastReps > 0:
-		return incastMetrics(s, r)
+		return incastMetrics(r)
 	default:
 		rep := r.Report
 		return Metrics{
@@ -93,41 +98,28 @@ func motivationMetrics(s spec.Spec, r *Result) Metrics {
 	}
 }
 
-// incastMetrics reconstructs the per-initiation flow groups of a
-// repeated-incast run. compileIncastReps starts exactly
-// min(degree, hosts-1) flows per initiation, in initiation order, with no
-// other traffic in the run, so the retained network's flow list slices into
-// groups and the initiation times recompute from the spec's gap.
-func incastMetrics(s spec.Spec, r *Result) Metrics {
-	numHosts := s.Leaves * s.HostsPerLeaf
-	flowsPerRep := s.IncastDegree
-	if flowsPerRep > numHosts-1 {
-		flowsPerRep = numHosts - 1
-	}
-	gap := incastGap(s)
+// incastMetrics measures a repeated-incast run. The compiler starts all of
+// one initiation's flows in a single event and no other traffic, so the
+// retained network's flows group into initiations by a shared StartAt, and
+// an initiation completes when its last flow finishes.
+func incastMetrics(r *Result) Metrics {
 	flows := r.Network.Flows
-
 	var ict metrics.Digest
-	finished := 0
-	reps := 0
-	for rep := 0; rep*flowsPerRep < len(flows); rep++ {
-		reps++
-		group := flows[rep*flowsPerRep : minI((rep+1)*flowsPerRep, len(flows))]
-		initAt := sim.Time(rep) * gap
+	reps, finished := 0, 0
+	for i := 0; i < len(flows); {
+		start := flows[i].StartAt
 		done := true
 		var last sim.Time
-		for _, f := range group {
-			if !f.Done {
-				done = false
-				break
-			}
-			if f.FinishAt > last {
-				last = f.FinishAt
+		for ; i < len(flows) && flows[i].StartAt == start; i++ {
+			done = done && flows[i].Done
+			if flows[i].FinishAt > last {
+				last = flows[i].FinishAt
 			}
 		}
-		if done && len(group) > 0 {
+		reps++
+		if done {
 			finished++
-			ict.AddTime(last - initAt)
+			ict.AddTime(last - start)
 		}
 	}
 	return Metrics{
@@ -139,21 +131,16 @@ func incastMetrics(s spec.Spec, r *Result) Metrics {
 	}
 }
 
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // seedStride spaces seed offsets so derived streams stay independent.
 const seedStride = 9973
 
 // RunSpecsAveraged compiles every spec at `seeds` seed offsets (SimSeed,
-// SimSeed+stride, ...), executes all runs concurrently, and returns
+// SimSeed+stride, ...), executes all runs on Parallel's workers, and returns
 // per-spec averaged Metrics in input order — the generic engine behind every
-// figure grid. A compile error on any cell aborts the whole sweep: a sweep
-// that silently skipped cells would render a figure with holes.
+// figure. Each worker takes its run's metrics and drops the Result, so a
+// batch holds at most one retained network per worker. A compile error on
+// any cell aborts the whole sweep: a sweep that silently skipped cells would
+// render a figure with holes.
 func RunSpecsAveraged(specs []spec.Spec, seeds int) ([]Metrics, error) {
 	if seeds < 1 {
 		seeds = 1
@@ -170,43 +157,26 @@ func RunSpecsAveraged(specs []spec.Spec, seeds int) ([]Metrics, error) {
 			expanded = append(expanded, cfg)
 		}
 	}
-	results := RunAll(expanded)
+	runs := make([]Metrics, len(expanded))
+	Parallel(len(expanded), 0, func(i int) {
+		runs[i] = specMetrics(specs[i/seeds], Run(expanded[i]))
+	})
 	out := make([]Metrics, len(specs))
-	for i, sp := range specs {
-		var m Metrics
+	for i := range out {
+		m := &out[i]
 		m.Seeds = seeds
-		for k := 0; k < seeds; k++ {
-			one := specMetrics(sp, results[i*seeds+k])
-			m.AFCT += one.AFCT
-			m.P25 += one.P25
-			m.P50 += one.P50
-			m.P75 += one.P75
-			m.P90 += one.P90
-			m.P99 += one.P99
-			m.OOOPct += one.OOOPct
-			m.OODp99 += one.OODp99
-			m.PauseRate += one.PauseRate
-			m.Completed += one.Completed
-			m.OOORatio += one.OOORatio
-			m.ICTms += one.ICTms
+		sums := m.averaged()
+		for _, one := range runs[i*seeds : (i+1)*seeds] {
+			for j, v := range one.averaged() {
+				*sums[j] += *v
+			}
 			m.Initiations += one.Initiations
 			m.Finished += one.Finished
 			m.Violations += one.Violations
 		}
-		n := float64(seeds)
-		m.AFCT /= n
-		m.P25 /= n
-		m.P50 /= n
-		m.P75 /= n
-		m.P90 /= n
-		m.P99 /= n
-		m.OOOPct /= n
-		m.OODp99 /= n
-		m.PauseRate /= n
-		m.Completed /= n
-		m.OOORatio /= n
-		m.ICTms /= n
-		out[i] = m
+		for _, sum := range sums {
+			*sum /= float64(seeds)
+		}
 	}
 	return out, nil
 }
@@ -223,20 +193,4 @@ func RunGrid(g spec.Grid) ([]spec.Spec, []Metrics, error) {
 		return nil, nil, fmt.Errorf("grid %q: %w", g.Name, err)
 	}
 	return cells, ms, nil
-}
-
-// MustRunGrid is RunGrid for the code-authored figure grids, where an error
-// is a bug in the grid definition.
-func MustRunGrid(g spec.Grid) ([]spec.Spec, []Metrics) {
-	cells, ms, err := RunGrid(g)
-	if err != nil {
-		panic(fmt.Sprintf("harness: %v", err))
-	}
-	return cells, ms
-}
-
-// MustRunGridMetrics is MustRunGrid for callers that only need the metrics.
-func MustRunGridMetrics(g spec.Grid) []Metrics {
-	_, ms := MustRunGrid(g)
-	return ms
 }

@@ -3,7 +3,11 @@ package harness
 import (
 	"testing"
 
+	"github.com/rlb-project/rlb/internal/metrics"
+	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/spec"
+	"github.com/rlb-project/rlb/internal/topo"
+	"github.com/rlb-project/rlb/internal/transport"
 )
 
 func mustRunSpecsAveraged(t *testing.T, specs []spec.Spec, seeds int) []Metrics {
@@ -77,5 +81,27 @@ func TestScaleSeedsHelper(t *testing.T) {
 	s.Seeds = 3
 	if s.seeds() != 3 {
 		t.Fatal("explicit Seeds ignored")
+	}
+}
+
+// TestIncastMetricsGroupsRoundsByStart hands incastMetrics a run of two
+// incast rounds: flows sharing a StartAt form one round, and only a round
+// whose flows all finished counts as finished, timed from its start to its
+// last flow's finish.
+func TestIncastMetricsGroupsRoundsByStart(t *testing.T) {
+	ms := sim.Millisecond
+	flows := []*transport.Flow{
+		{StartAt: 2 * ms, FinishAt: 4 * ms, Done: true},
+		{StartAt: 2 * ms, FinishAt: 5 * ms, Done: true},
+		{StartAt: 10 * ms}, // never finished
+		{StartAt: 10 * ms, FinishAt: 11 * ms, Done: true},
+	}
+	r := &Result{Report: metrics.BuildFlowReport(flows), Network: &topo.Network{Flows: flows}}
+	m := incastMetrics(r)
+	if m.Initiations != 2 || m.Finished != 1 {
+		t.Fatalf("initiations/finished = %d/%d, want 2/1", m.Initiations, m.Finished)
+	}
+	if m.ICTms != 3 {
+		t.Fatalf("ICTms = %v, want 3 (first round: start 2ms, last finish 5ms)", m.ICTms)
 	}
 }

@@ -83,8 +83,8 @@ func (t Timer) When() Time {
 // Engine is a single-threaded discrete-event scheduler. The zero value is not
 // usable; create engines with NewEngine or NewEngineWith.
 type Engine struct {
-	now     Time
-	sched   scheduler
+	now   Time
+	sched scheduler
 	// cal devirtualizes the default scheduler: when non-nil it is the same
 	// object as sched, and the per-event push/pop sites call it directly
 	// instead of through the interface (two indirect calls per event add up

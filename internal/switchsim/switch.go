@@ -41,14 +41,6 @@ type Config struct {
 	ECNKmin int
 	ECNKmax int
 	ECNPmax float64
-
-	// DynamicThreshold switches the MMU to a dynamic-threshold (DT) policy:
-	// the per-ingress PFC threshold becomes DynAlpha x (free shared memory)
-	// instead of the static PFCThreshold — how production shared-buffer
-	// switches actually size PFC headroom. PFCThreshold then acts as an
-	// upper clamp.
-	DynamicThreshold bool
-	DynAlpha         float64
 }
 
 // DefaultConfig returns the paper's switch settings.
@@ -437,34 +429,13 @@ func (sw *Switch) AuditInvariants() {
 	}
 }
 
-// PFCThresholdFor returns the pause threshold currently applied to ingress
-// port in: the static configuration value, or — under the dynamic-threshold
-// policy — a share of the remaining free pool, clamped by the static value.
-func (sw *Switch) PFCThresholdFor(in int) int {
-	if !sw.Cfg.DynamicThreshold {
-		return sw.Cfg.PFCThreshold
-	}
-	alpha := sw.Cfg.DynAlpha
-	if alpha <= 0 {
-		alpha = 0.125
-	}
-	t := int(alpha * float64(sw.Cfg.BufferBytes-sw.sharedUsed))
-	if t > sw.Cfg.PFCThreshold {
-		t = sw.Cfg.PFCThreshold
-	}
-	if t < fabric.DefaultMTU {
-		t = fabric.DefaultMTU
-	}
-	return t
-}
-
 // checkPFC sends PAUSE upstream when an ingress counter crosses the
 // threshold, then keeps refreshing it until occupancy falls back.
 func (sw *Switch) checkPFC(in int) {
 	if !sw.Cfg.PFCEnabled || sw.pauseActive[in] {
 		return
 	}
-	if sw.ingressBytes[in] <= sw.PFCThresholdFor(in) {
+	if sw.ingressBytes[in] <= sw.Cfg.PFCThreshold {
 		return
 	}
 	sw.pauseActive[in] = true
@@ -486,7 +457,7 @@ func (sw *Switch) armRefresh(in int) {
 }
 
 func (sw *Switch) checkResume(in int) {
-	if !sw.pauseActive[in] || sw.ingressBytes[in] > sw.PFCThresholdFor(in) {
+	if !sw.pauseActive[in] || sw.ingressBytes[in] > sw.Cfg.PFCThreshold {
 		return
 	}
 	sw.pauseActive[in] = false

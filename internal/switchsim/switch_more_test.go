@@ -127,66 +127,3 @@ func TestStatsDataInCount(t *testing.T) {
 		t.Fatalf("DataIn = %d", r.sw.Stats.DataIn)
 	}
 }
-
-func TestDynamicThresholdShrinksWithPoolUse(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DynamicThreshold = true
-	cfg.DynAlpha = 0.125
-	cfg.BufferBytes = 800 * 1000
-	eng := sim.NewEngine()
-	sw := New(eng, 100, 2, cfg, rng.New(1))
-	if got := sw.PFCThresholdFor(0); got != 100*1000 {
-		t.Fatalf("empty-pool threshold = %d, want 100000", got)
-	}
-	// Fill half the pool (simulate by enqueueing into a paused egress).
-	up, down := newEndpoint(eng, 0), newEndpoint(eng, 1)
-	fabric.Connect(up.port, sw.Port(0), 40*units.Gbps, sim.Microsecond)
-	fabric.Connect(down.port, sw.Port(1), 40*units.Gbps, sim.Microsecond)
-	sw.SetRouter(dstRouter{0: 0, 1: 1})
-	sw.Port(1).SetPaused(fabric.PrioData, true, 0)
-	for i := 0; i < 60; i++ {
-		up.port.Enqueue(fabric.NewData(1, uint32(i), 1000, 0, 1))
-	}
-	eng.RunUntil(100 * sim.Microsecond)
-	if sw.SharedUsed() == 0 {
-		t.Fatal("setup failed: pool empty")
-	}
-	if got := sw.PFCThresholdFor(0); got >= 100*1000 {
-		t.Fatalf("threshold did not shrink with pool occupancy: %d", got)
-	}
-	sw.Port(1).SetPaused(fabric.PrioData, false, 0)
-	eng.Run()
-}
-
-func TestDynamicThresholdClampedByStatic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.DynamicThreshold = true
-	cfg.DynAlpha = 100 // absurdly generous share
-	eng := sim.NewEngine()
-	sw := New(eng, 100, 1, cfg, rng.New(1))
-	if got := sw.PFCThresholdFor(0); got != cfg.PFCThreshold {
-		t.Fatalf("dynamic threshold not clamped: %d", got)
-	}
-}
-
-func TestDynamicThresholdPausesEarlierWhenPoolFull(t *testing.T) {
-	// Two ingresses flood a slow egress: with DT the threshold tightens as
-	// the pool fills, pausing earlier than the static MMU.
-	run := func(dynamic bool) uint64 {
-		cfg := DefaultConfig()
-		cfg.PFCThreshold = 200 * 1000
-		cfg.BufferBytes = 400 * 1000
-		cfg.DynamicThreshold = dynamic
-		cfg.DynAlpha = 0.25
-		r := newSlowRig(cfg, 40*units.Gbps, units.Gbps)
-		for i := 0; i < 150; i++ {
-			r.src[0].port.Enqueue(fabric.NewData(1, uint32(i), 1000, 0, 2))
-			r.src[1].port.Enqueue(fabric.NewData(2, uint32(i), 1000, 1, 2))
-		}
-		r.eng.Run()
-		return r.sw.Stats.PauseSent
-	}
-	if run(true) <= run(false) {
-		t.Fatal("dynamic threshold did not pause earlier under pool pressure")
-	}
-}

@@ -28,7 +28,7 @@ type Flow struct {
 
 	// Receiver-side stats.
 	PktsRcvd uint64 // all data arrivals, including duplicates
-	OOOPkts  uint64 // out-of-order arrivals (discarded or resequenced)
+	OOOPkts  uint64 // out-of-order arrivals (discarded, or kept by selective repeat)
 	Dups     uint64 // arrivals below the expected sequence
 	MaxOOD   uint32 // largest out-of-order degree observed
 	CNPsSent uint64

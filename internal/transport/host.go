@@ -28,10 +28,6 @@ type HostConfig struct {
 	CCEnabled bool
 	// CC holds the DCQCN parameters.
 	CC dcqcn.Config
-	// ReseqBufPkts, when non-zero, gives receivers a resequencing buffer of
-	// that many packets (a Presto-style edge shim) instead of pure
-	// go-back-N. The paper's lossless setting uses 0.
-	ReseqBufPkts uint32
 	// Checker, when non-nil, receives receiver-side invariant assertions
 	// (in-order PSN delivery; strict tier only). The topology layer installs
 	// the simulation's checker here.

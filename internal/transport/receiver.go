@@ -6,11 +6,11 @@ import (
 	"github.com/rlb-project/rlb/internal/sim"
 )
 
-// receiver enforces in-order delivery for one flow. With ReseqBufPkts == 0 it
-// is the go-back-N NIC of the paper: an out-of-order frame is discarded, the
-// expected sequence is NAKed (once per gap), and the sender rewinds. A
-// non-zero resequencing buffer instead absorbs bounded reordering at the
-// edge (Presto's shim), still NAKing when the buffer cannot cover the gap.
+// receiver enforces in-order delivery for one flow. By default it is the
+// go-back-N NIC of the paper: an out-of-order frame is discarded, the
+// expected sequence is NAKed (once per gap), and the sender rewinds. Under
+// SelectiveRepeat it keeps out-of-order arrivals and the same NAK asks for
+// the missing frame only.
 type receiver struct {
 	h *Host
 	f *Flow
@@ -20,16 +20,13 @@ type receiver struct {
 	lastNakFor uint32
 	lastCNPAt  sim.Time
 
-	// reseq buffers out-of-order sequence numbers in a flat table;
-	// useReseq gates the resequencing modes (pure go-back-N keeps it off).
-	reseq    flatmap.U32[struct{}]
-	useReseq bool
+	// reseq holds the out-of-order sequence numbers selective repeat keeps
+	// (always empty under go-back-N).
+	reseq flatmap.U32[struct{}]
 }
 
 func newReceiver(h *Host, f *Flow) *receiver {
-	r := &receiver{h: h, f: f, lastNakFor: ^uint32(0), lastCNPAt: -sim.Second}
-	r.useReseq = h.Cfg.ReseqBufPkts > 0 || h.Cfg.SelectiveRepeat
-	return r
+	return &receiver{h: h, f: f, lastNakFor: ^uint32(0), lastCNPAt: -sim.Second}
 }
 
 func (r *receiver) onData(pkt *fabric.Packet) {
@@ -55,7 +52,7 @@ func (r *receiver) onData(pkt *fabric.Packet) {
 		// A duplicate of an already-buffered arrival is not new reordering:
 		// counting it into OOOPkts/MaxOOD would inflate the paper's OOD
 		// metrics with retransmission artifacts.
-		if r.useReseq && r.reseq.Has(seq) {
+		if r.h.Cfg.SelectiveRepeat && r.reseq.Has(seq) {
 			f.Dups++
 			return
 		}
@@ -68,19 +65,11 @@ func (r *receiver) onData(pkt *fabric.Packet) {
 			r.h.OODHook(f, ood)
 		}
 		if r.h.Cfg.SelectiveRepeat {
-			// IRN: keep the arrival, request only the missing packet.
+			// IRN: keep the arrival; the NAK requests only the missing packet.
 			r.reseq.Put(seq, struct{}{})
-			if r.lastNakFor != r.expected {
-				r.lastNakFor = r.expected
-				r.h.sendControl(fabric.Nak, f.ID, f.Src, r.expected)
-			}
-			return
 		}
-		if r.useReseq && ood <= r.h.Cfg.ReseqBufPkts {
-			r.reseq.Put(seq, struct{}{})
-			return
-		}
-		// Go-back-N: discard and ask for the expected sequence, once per gap.
+		// Go-back-N discards the arrival. Either way, ask for the expected
+		// sequence, once per gap.
 		if r.lastNakFor != r.expected {
 			r.lastNakFor = r.expected
 			r.h.sendControl(fabric.Nak, f.ID, f.Src, r.expected)
@@ -102,7 +91,7 @@ func (r *receiver) advance() {
 	f := r.f
 	r.h.Cfg.Checker.Delivered(r.h.Eng.Now(), f.ID, r.expected)
 	r.expected++
-	for r.useReseq && r.reseq.Delete(r.expected) {
+	for r.h.Cfg.SelectiveRepeat && r.reseq.Delete(r.expected) {
 		r.h.Cfg.Checker.Delivered(r.h.Eng.Now(), f.ID, r.expected)
 		r.expected++
 	}

@@ -8,29 +8,6 @@ import (
 	"github.com/rlb-project/rlb/internal/units"
 )
 
-func TestReseqBufferOverflowStillNaks(t *testing.T) {
-	cfg := DefaultHostConfig()
-	cfg.CCEnabled = false
-	cfg.ReseqBufPkts = 4 // tiny shim
-	n := newNet2(cfg, 10*units.Gbps, sim.Microsecond)
-	// Delay packet 10 long enough that >4 successors arrive: the gap
-	// exceeds the buffer, so go-back-N must kick in.
-	n.mb.hook = func(pkt *fabric.Packet) (bool, sim.Time) {
-		if pkt.Seq == 10 && !pkt.Retransmitted {
-			return true, 60 * sim.Microsecond
-		}
-		return true, 0
-	}
-	f := n.h1.StartFlow(1, n.h2, 100*1000)
-	n.eng.Run()
-	if !f.Done {
-		t.Fatal("flow incomplete")
-	}
-	if f.Retrans == 0 {
-		t.Fatal("overflowing the resequencing buffer must trigger go-back-N")
-	}
-}
-
 func TestAckCoalescing(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.CCEnabled = false

@@ -141,30 +141,6 @@ func TestOODHookObservesDegrees(t *testing.T) {
 	}
 }
 
-func TestResequencingBufferAvoidsRetransmission(t *testing.T) {
-	cfg := DefaultHostConfig()
-	cfg.CCEnabled = false
-	cfg.ReseqBufPkts = 64
-	n := newNet2(cfg, 10*units.Gbps, sim.Microsecond)
-	n.mb.hook = func(pkt *fabric.Packet) (bool, sim.Time) {
-		if pkt.Seq == 10 && !pkt.Retransmitted {
-			return true, 10 * sim.Microsecond
-		}
-		return true, 0
-	}
-	f := n.h1.StartFlow(1, n.h2, 100*1000)
-	n.eng.Run()
-	if !f.Done {
-		t.Fatal("flow did not complete")
-	}
-	if f.Retrans != 0 {
-		t.Fatalf("resequencing buffer should absorb reordering; retrans=%d", f.Retrans)
-	}
-	if f.OOOPkts == 0 {
-		t.Fatal("OOO arrivals should still be observed")
-	}
-}
-
 func TestDropRecoveredByNak(t *testing.T) {
 	cfg := DefaultHostConfig()
 	cfg.CCEnabled = false

@@ -2,28 +2,31 @@
 # CI gate for the RLB simulator. Runs the tiers in fail-fast order:
 #
 #   1. build       — everything compiles
-#   2. lint        — go vet + simlint (determinism / poolcheck / timercheck /
-#                    unitsafe / hotpath / exhaustive; see TESTING.md "Static
-#                    analysis tier"). Findings are also captured as a JSON
-#                    Lines artifact (simlint.jsonl under $CI_ARTIFACT_DIR,
-#                    default artifacts/) for tooling, even when the tier
-#                    fails.
+#   2. lint        — gofmt gate (no tracked Go file outside testdata/ needs
+#                    formatting) + go vet + simlint (determinism / poolcheck /
+#                    timercheck / unitsafe / hotpath / exhaustive; see
+#                    TESTING.md "Static analysis tier"). Findings are also
+#                    captured as a JSON Lines artifact (simlint.jsonl under
+#                    $CI_ARTIFACT_DIR, default artifacts/) for tooling, even
+#                    when the tier fails.
 #   3. race smoke  — -race -short over the simulator internals
 #   4. full suite  — bench-smoke perf gate + all tests incl. golden figures
 #   5. examples    — every examples/* main runs to a zero exit
-#   6. spec verify — canonical-spec contracts: byte-stable JSON round trips,
+#   6. results     — the bench-scale figure tables regenerate to the
+#                    committed results_bench.txt, every line but `done:`
+#   7. spec verify — canonical-spec contracts: byte-stable JSON round trips,
 #                    compiler thresholds/fabric params/fault schedules pinned
 #                    to literal values, figure-grid golden, committed
 #                    corpus + repro fixture decode (TESTING.md "Spec
 #                    round-trip tier")
-#   7. telemetry   — observation-only contract: fingerprints bit-identical
+#   8. telemetry   — observation-only contract: fingerprints bit-identical
 #                    with sampling and events on/off, JSONL golden (series
 #                    and events) byte-stable, event counts reconciled with
 #                    run counters, sampler tick and event record
 #                    allocation-free (TESTING.md "Telemetry tier")
-#   8. fuzz smoke  — metamorphic scenario sweep + seeded-breach meta-test +
+#   9. fuzz smoke  — metamorphic scenario sweep + seeded-breach meta-test +
 #                    time-boxed mutating fuzz over the committed corpus
-#   9. bench pass  — one pass of every benchmark workload (bench/README.md);
+#  10. bench pass  — one pass of every benchmark workload (bench/README.md);
 #                    fails on any simulation that breaks a check (compile
 #                    error, panic, invariant violation, drop under PFC). The
 #                    records are kept next to simlint.jsonl as bench.jsonl.
@@ -39,7 +42,8 @@ GO=${GO:-go}
 echo "==> build"
 "$GO" build ./...
 
-echo "==> lint (vet + simlint)"
+echo "==> lint (gofmt + vet + simlint)"
+make fmt-check
 "$GO" vet ./...
 # Run simlint twice: the human-readable gate, plus a machine-readable JSON
 # Lines artifact. The JSON run goes first and is allowed to "fail" (findings
@@ -63,6 +67,12 @@ make bench-smoke
 # example whose main panics or exits non-zero fails CI.
 echo "==> examples (run every examples/* main)"
 make examples
+
+# The committed figure tables must be what the code prints today: a change
+# that moves a figure has to regenerate results_bench.txt (`make results`)
+# in the same commit. ~21 s on a 2-core host.
+echo "==> results verify (results_bench.txt matches a fresh bench-scale run)"
+make results-verify
 
 # The spec tests also ran inside `go test ./...`; the dedicated tier re-runs
 # them uncached (-count=1) so a cached pass can never mask a drifted golden
