@@ -80,7 +80,7 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # Static-analysis tier: the gofmt gate, go vet, and the project-specific
-# simlint suite (determinism, poolcheck, timercheck, unitsafe — see
+# simlint suite (determinism, poolcheck, timercheck, unitsafe, hotpath — see
 # TESTING.md).
 lint: fmt-check vet simlint
 

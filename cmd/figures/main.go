@@ -55,12 +55,15 @@ func dumpSpecs(figs []harness.Figure, scale harness.Scale, seed uint64) int {
 }
 
 func main() {
-	var names []string
-	for _, f := range harness.Figures {
-		names = append(names, f.Name)
+	var scaleNames, figNames []string
+	for _, s := range harness.Scales {
+		scaleNames = append(scaleNames, s.Name)
 	}
-	scaleName := flag.String("scale", "default", "fabric scale: bench, default, scale, or paper")
-	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(names, ", ")+", or all")
+	for _, f := range harness.Figures {
+		figNames = append(figNames, f.Name)
+	}
+	scaleName := flag.String("scale", "default", "fabric scale: "+strings.Join(scaleNames, ", "))
+	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(figNames, ", ")+", or all")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	dumpSpec := flag.Bool("dump-spec", false, "print the figure's spec grids and expanded cells as JSON and exit without running")
@@ -68,9 +71,9 @@ func main() {
 	sampleInterval := flag.Duration("sample-interval", 10*time.Microsecond, "telemetry sampling interval for -timeseries (min 1us)")
 	flag.Parse()
 
-	scale, ok := harness.ScaleByName(*scaleName)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "figures: unknown scale %q (want bench, default, scale, paper)\n", *scaleName)
+	scale, err := harness.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(2)
 	}
 	figs := harness.Figures

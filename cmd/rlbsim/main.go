@@ -31,10 +31,12 @@ import (
 	"time"
 
 	"github.com/rlb-project/rlb/internal/harness"
+	"github.com/rlb-project/rlb/internal/lb"
 	"github.com/rlb-project/rlb/internal/metrics"
 	"github.com/rlb-project/rlb/internal/scenario"
 	"github.com/rlb-project/rlb/internal/spec"
 	"github.com/rlb-project/rlb/internal/telemetry"
+	"github.com/rlb-project/rlb/internal/workload"
 )
 
 // scenarioFlags are the flags that shape the scenario itself (as opposed to
@@ -50,8 +52,12 @@ var scenarioFlags = map[string]bool{
 }
 
 func main() {
-	scheme := flag.String("scheme", "drill+rlb", "load balancer: ecmp|presto|letflow|hermes|drill|conga, optionally +rlb")
-	wl := flag.String("workload", "websearch", "workload: webserver|cachefollower|websearch|datamining")
+	var schemes []string
+	for _, s := range lb.Schemes {
+		schemes = append(schemes, s.Name)
+	}
+	scheme := flag.String("scheme", "drill+rlb", "load balancer: "+strings.Join(schemes, "|")+", optionally +rlb")
+	wl := flag.String("workload", "websearch", "workload: "+strings.Join(workload.Names(), "|"))
 	load := flag.Float64("load", 0.5, "offered load fraction of host line rate")
 	leaves := flag.Int("leaves", 4, "number of leaf switches")
 	spines := flag.Int("spines", 6, "number of spine switches")

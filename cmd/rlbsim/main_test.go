@@ -93,32 +93,71 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
-// TestSpecOutOfRangeAsymExitsTwo loads a spec whose asymPct is above 100:
-// Compile must reject it as a usage error instead of the topology builder
-// panicking on more asymmetric links than the fabric has.
-func TestSpecOutOfRangeAsymExitsTwo(t *testing.T) {
-	s := spec.Spec{
-		SimSeed: 1, Leaves: 2, Spines: 2, HostsPerLeaf: 2, LinkGbps: 10,
-		Scheme: "drill", Workload: "websearch", LoadPct: 50, AsymPct: 150,
-		DurationUs: 200, DrainUs: 300,
+// TestHelpListsSchemesAndWorkloads pins the -scheme and -workload help,
+// which is built from lb.Schemes and workload.Names: same names, same order.
+func TestHelpListsSchemesAndWorkloads(t *testing.T) {
+	_, stderr, code := rlbsim(t, "-h")
+	if code != 0 {
+		t.Fatalf("-h exit %d:\n%s", code, stderr)
 	}
-	data, err := spec.Encode(s)
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range []string{
+		"load balancer: ecmp|presto|letflow|hermes|drill|conga, optionally +rlb",
+		"workload: webserver|cachefollower|websearch|datamining",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("help does not contain %q:\n%s", want, stderr)
+		}
 	}
-	path := filepath.Join(t.TempDir(), "asym.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out, stderr, code := rlbsim(t, "-spec", path)
-	if code != 2 {
-		t.Fatalf("exit %d, want 2\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
-	}
-	if strings.Contains(stderr, "panic:") {
-		t.Fatalf("panicked:\n%s", stderr)
-	}
-	if !strings.Contains(stderr, "asymPct 150: valid range is 0..100") {
-		t.Fatalf("stderr does not name the valid range:\n%s", stderr)
+}
+
+// TestSpecOutOfRangeExitsTwo loads raw specs with one field out of range on
+// a 2x2/2 fabric (4 hosts). Compile must reject each as a usage error that
+// names the field and its valid range, instead of the run panicking: on more
+// asymmetric links than the fabric has, on an incast client that is not a
+// host, or on an incast or fault scheduled before time zero.
+func TestSpecOutOfRangeExitsTwo(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mut  func(*spec.Spec)
+		want string
+	}{
+		{"asymPct", func(s *spec.Spec) { s.AsymPct = 150 }, "asymPct 150: valid range is 0..100"},
+		{"incastClient", func(s *spec.Spec) {
+			s.IncastDegree, s.IncastKB, s.IncastClient = 2, 40, 99
+		}, "incastClient 99: valid range is 0..3"},
+		{"incastAtUs", func(s *spec.Spec) {
+			s.IncastDegree, s.IncastKB, s.IncastAtUs = 2, 40, -5
+		}, "incastAtUs -5: need >= 0"},
+		{"downAtUs", func(s *spec.Spec) {
+			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: -10, UpAtUs: 100}}
+		}, "downAtUs -10: need >= 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := spec.Spec{
+				SimSeed: 1, Leaves: 2, Spines: 2, HostsPerLeaf: 2, LinkGbps: 10,
+				Scheme: "drill", Workload: "websearch", LoadPct: 50,
+				DurationUs: 200, DrainUs: 300,
+			}
+			c.mut(&s)
+			data, err := spec.Encode(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "spec.json")
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out, stderr, code := rlbsim(t, "-spec", path)
+			if code != 2 {
+				t.Fatalf("exit %d, want 2\nstdout:\n%s\nstderr:\n%s", code, out, stderr)
+			}
+			if strings.Contains(stderr, "panic:") {
+				t.Fatalf("panicked:\n%s", stderr)
+			}
+			if !strings.Contains(stderr, c.want) {
+				t.Fatalf("stderr does not contain %q:\n%s", c.want, stderr)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command simlint runs the repository's static simulation-discipline suite
-// (internal/analysis): determinism, poolcheck, timercheck, unitsafe,
-// hotpath, and exhaustive. The suite is interprocedural — a module-wide
+// (internal/analysis): determinism, poolcheck, timercheck, unitsafe, and
+// hotpath. The suite is interprocedural — a module-wide
 // call graph with interface devirtualization feeds hot-path reachability
 // and bottom-up packet-ownership summaries — so run it over the whole
 // module (./...) for full-precision results; narrowing the argument list

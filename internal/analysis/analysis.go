@@ -1,12 +1,12 @@
 // Package analysis is a self-contained static-analysis framework plus the
 // simlint analyzer suite that enforces this repository's simulation
 // discipline at compile time: determinism (no wall clock, no math/rand, no
-// goroutines, no order-dependent map iteration in simulation packages),
-// packet-pool conservation (pooled frames are constructed inside
-// internal/fabric and consumed on every terminating path), timer-handle
-// hygiene (sim.Timer is a value handle; pointers reintroduce stale-handle
-// bugs), and unit discipline (no raw integer literals added to sim.Time or
-// units.Bandwidth values).
+// goroutines, no map range in simulation packages), packet-pool
+// conservation (pooled frames are constructed inside internal/fabric and
+// consumed on every terminating path), timer-handle hygiene (sim.Timer is a
+// value handle; pointers reintroduce stale-handle bugs), unit discipline (no
+// raw integer literals added to sim.Time or units.Bandwidth values), and an
+// allocation-free, map-free event hot path.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer / Pass / Diagnostic) but is built only on the standard library
@@ -58,9 +58,8 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	// Mod is the interprocedural scope this package was analyzed in. It is
-	// never nil: single-package runs get a module containing just that
-	// package (and see only intra-package facts).
+	// Mod is the interprocedural scope this package was analyzed in; never
+	// nil.
 	Mod   *Module
 	diags *[]Diagnostic
 }
@@ -95,15 +94,6 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Pkg.Info.ObjectOf(id)
 }
 
-// RunAnalyzers executes the analyzers over pkg alone and returns the
-// surviving findings: raw analyzer findings minus those suppressed by a valid
-// //simlint:allow annotation, plus one finding per malformed annotation.
-// The result is sorted by position. Interprocedural analyzers see a module
-// containing only pkg; use Module.Analyze to give them a wider scope.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return NewModule([]*Package{pkg}).Analyze(pkg, analyzers)
-}
-
 // pathHasSuffix reports whether import path p is exactly suffix or ends with
 // "/"+suffix. Matching by suffix lets the analyzers recognize both the real
 // module packages and the fixture stand-ins under testdata.
@@ -134,4 +124,13 @@ func isNamed(t types.Type, pkgSuffix, name string) bool {
 		return false
 	}
 	return pathHasSuffix(obj.Pkg().Path(), pkgSuffix)
+}
+
+// isMapType reports whether t's underlying type is a built-in map.
+func isMapType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Map)
+	return ok
 }

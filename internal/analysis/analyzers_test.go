@@ -61,14 +61,6 @@ func TestHotpathFixture(t *testing.T) {
 	analysistest.Run(t, src, "hotfix.example/internal/switchsim", analysis.Hotpath)
 }
 
-// TestExhaustiveFixture proves the exhaustive analyzer can fail: switches
-// and a map literal dispatch over the fixture scheme/workload registries
-// with one registered name missing each.
-func TestExhaustiveFixture(t *testing.T) {
-	src := analysistest.Fixture(".")
-	analysistest.Run(t, src, "exhaustfix.example/internal/harness", analysis.Exhaustive)
-}
-
 func TestTimercheckFixture(t *testing.T) {
 	src := analysistest.Fixture(".")
 	analysistest.Run(t, src, "timerfix.example/internal/transport", analysis.Timercheck)

@@ -24,13 +24,13 @@ import (
 //   - fmt calls and non-constant string concatenation (boxing/building)
 //
 // It also enforces the data plane's map discipline: built-in map indexing,
-// assignment, delete, and range in a hot function are flagged even though
-// they may not allocate. A built-in map access hashes with runtime calls
-// and chases buckets per packet, and map range order is where
-// nondeterminism classically leaks into an event schedule; hot per-packet
-// state belongs in internal/flatmap's open-addressed tables or dense stamp
-// rows. Cold-path maps (setup, reporting) are fine — they are not
-// reachable from OnEvent.
+// assignment, and delete in a hot function are flagged even though they may
+// not allocate. A built-in map access hashes with runtime calls and chases
+// buckets per packet; hot per-packet state belongs in internal/flatmap's
+// open-addressed tables or dense stamp rows. Cold-path maps (setup,
+// reporting) are fine — they are not reachable from OnEvent. Map ranges are
+// the determinism analyzer's: it bans them in every simulation package, hot
+// or cold.
 //
 // Arguments of panic(...) are exempt: the failure path is allowed to format.
 // Observer packages (invariant) outside the simPackages list are not
@@ -146,13 +146,6 @@ func checkAllocs(p *Pass, node *cgNode, chain string) {
 			if isMapType(p.TypeOf(n.X)) {
 				reportMap(n.Pos(), "built-in map access (hash + bucket probe per packet)")
 			}
-		case *ast.RangeStmt:
-			if exempt(n.Pos()) {
-				return true
-			}
-			if isMapType(p.TypeOf(n.X)) {
-				reportMap(n.X.Pos(), "built-in map range (nondeterministic iteration order)")
-			}
 		case *ast.BinaryExpr:
 			if n.Op == token.ADD && !exempt(n.Pos()) {
 				if t := p.TypeOf(n); t != nil {
@@ -167,15 +160,6 @@ func checkAllocs(p *Pass, node *cgNode, chain string) {
 		return true
 	}
 	ast.Inspect(node.body, walk)
-}
-
-// isMapType reports whether t's underlying type is a built-in map.
-func isMapType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Map)
-	return ok
 }
 
 // panicArgRanges returns the source ranges of every panic(...) argument list

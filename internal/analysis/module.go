@@ -6,19 +6,17 @@ import (
 
 // Module is the interprocedural analysis scope: a set of loaded packages
 // (typically the requested packages plus their transitive in-tree
-// dependencies) over which module-wide facts — the call graph, per-function
-// ownership summaries, and the scheme/workload name registries — are
-// computed once and shared by every analyzer pass.
+// dependencies) over which module-wide facts — the call graph and
+// per-function ownership summaries — are computed once and shared by every
+// analyzer pass.
 type Module struct {
 	// Pkgs are the packages in scope, sorted by import path.
 	Pkgs []*Package
 
 	byPath map[string]*Package
 
-	cg         *callGraph
-	sums       *summaries
-	registries []registry
-	regBuilt   bool
+	cg   *callGraph
+	sums *summaries
 }
 
 // NewModule builds an analysis scope over pkgs. Interprocedural facts are
@@ -53,7 +51,9 @@ func (m *Module) Summaries() *summaries {
 
 // Analyze runs the analyzers over one in-scope package with the module's
 // interprocedural facts available on the pass, returning the surviving
-// findings sorted by position (see RunAnalyzers).
+// findings sorted by position: raw analyzer findings minus those suppressed
+// by a valid //simlint:allow annotation, plus one finding per malformed
+// annotation.
 func (m *Module) Analyze(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 	var raw []Diagnostic
 	for _, a := range analyzers {

@@ -23,15 +23,15 @@ func TestSortDiagnostics(t *testing.T) {
 		diag("b.go", 1, 1, "poolcheck", "m1"),
 		diag("a.go", 9, 1, "unitsafe", "m2"),
 		diag("a.go", 2, 5, "hotpath", "m3"),
-		diag("a.go", 2, 5, "exhaustive", "m4"),
+		diag("a.go", 2, 5, "determinism", "m4"),
 		diag("a.go", 2, 1, "hotpath", "m5"),
-		diag("a.go", 2, 5, "exhaustive", "m0"),
+		diag("a.go", 2, 5, "determinism", "m0"),
 	}
 	sortDiagnostics(got)
 	want := []string{
 		"a.go:2:1 hotpath m5",
-		"a.go:2:5 exhaustive m0",
-		"a.go:2:5 exhaustive m4",
+		"a.go:2:5 determinism m0",
+		"a.go:2:5 determinism m4",
 		"a.go:2:5 hotpath m3",
 		"a.go:9:1 unitsafe m2",
 		"b.go:1:1 poolcheck m1",
@@ -47,13 +47,12 @@ func TestSortDiagnostics(t *testing.T) {
 // TestRunPackagesDeterministic runs the suite twice over the same fixture
 // packages with fresh loaders and modules: the rendered findings must be
 // byte-identical and globally sorted, independent of map iteration order
-// inside the loader, call graph, and registries.
+// inside the loader and call graph.
 func TestRunPackagesDeterministic(t *testing.T) {
 	paths := []string{
 		"poolfix.example/internal/switchsim",
 		"poolfix.example/internal/transport",
 		"hotfix.example/internal/switchsim",
-		"exhaustfix.example/internal/harness",
 	}
 	run := func(order []string) string {
 		ld := NewLoader(TreeResolver("testdata/src"))
@@ -94,13 +93,13 @@ func TestPrintJSON(t *testing.T) {
 	var b strings.Builder
 	diags := []Diagnostic{
 		diag("x/a.go", 3, 7, "hotpath", `alloc in "hot" path`),
-		diag("x/b.go", 1, 2, "exhaustive", "missing case"),
+		diag("x/b.go", 1, 2, "determinism", "map range"),
 	}
 	if err := PrintJSON(&b, diags); err != nil {
 		t.Fatal(err)
 	}
 	want := `{"analyzer":"hotpath","file":"x/a.go","line":3,"col":7,"message":"alloc in \"hot\" path"}
-{"analyzer":"exhaustive","file":"x/b.go","line":1,"col":2,"message":"missing case"}
+{"analyzer":"determinism","file":"x/b.go","line":1,"col":2,"message":"map range"}
 `
 	if b.String() != want {
 		t.Errorf("PrintJSON output:\n%s\nwant:\n%s", b.String(), want)

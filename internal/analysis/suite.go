@@ -8,7 +8,7 @@ import (
 
 // Suite returns the full simlint analyzer suite in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Determinism, Poolcheck, Timercheck, Unitsafe, Hotpath, Exhaustive}
+	return []*Analyzer{Determinism, Poolcheck, Timercheck, Unitsafe, Hotpath}
 }
 
 // RunModule loads every package of the module rooted at root and runs the

@@ -31,62 +31,28 @@ func Spawn(ch chan int) {
 	}
 }
 
-// EmitUnsorted ranges over a map and prints inside the loop: iteration order
-// reaches the output.
-func EmitUnsorted(m map[int]string) {
-	for k, v := range m {
-		fmt.Println(k, v) // want `order-dependent statement inside range over map m`
-	}
-}
-
-// CollectUnsorted appends map values without sorting them afterwards.
-func CollectUnsorted(m map[int]int) []int {
-	var out []int
-	for _, v := range m {
-		out = append(out, v) // want `order-dependent statement inside range over map m`
-	}
-	return out
-}
-
-// SortedKeys is the sanctioned idiom: extract, sort, iterate.
-func SortedKeys(m map[int]string) []int {
-	var keys []int
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// Aggregate folds commutatively and writes through the key: order free.
-func Aggregate(m map[int]int, dst map[int]int) int {
+// SumMap ranges over a built-in map: a finding at the range expression even
+// though this body happens to be order-insensitive.
+func SumMap(m map[int]int) int {
 	total := 0
-	for k, v := range m {
+	for _, v := range m { // want `range over built-in map in simulation package`
 		total += v
-		dst[k] = v
-		if v == 0 {
-			delete(dst, k)
-		}
 	}
 	return total
 }
 
-// MinOverMap assigns a plain variable inside the loop: ties resolve in map
-// order, so the result is nondeterministic.
-func MinOverMap(m map[int]int) int {
-	best := -1
-	for _, v := range m {
-		if v < best {
-			best = v // want `order-dependent statement inside range over map m`
-		}
+// EmitSorted is the sanctioned form: range a sorted slice of keys.
+func EmitSorted(keys []int, m map[int]string) {
+	sort.Ints(keys)
+	for _, k := range keys {
+		fmt.Println(k, m[k])
 	}
-	return best
 }
 
 // AllowedEmit shows a justified suppression on the preceding line.
 func AllowedEmit(m map[int]string) {
+	//simlint:allow(determinism) fixture: debug dump, never reaches figures
 	for k := range m {
-		//simlint:allow(determinism) fixture: debug dump, never reaches figures
 		fmt.Println(k)
 	}
 }

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
@@ -183,6 +182,10 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 			return RunConfig{}, fmt.Errorf("fault on link (l%d,s%d) outside the %dx%d fabric",
 				f.Leaf, f.Spine, s.Leaves, s.Spines)
 		}
+		if f.DownAtUs < 0 {
+			return RunConfig{}, fmt.Errorf("fault on link (l%d,s%d) downAtUs %d: need >= 0",
+				f.Leaf, f.Spine, f.DownAtUs)
+		}
 	}
 
 	if s.IncastReps > 0 {
@@ -193,6 +196,15 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 			return RunConfig{}, fmt.Errorf("incastReps %d needs incastDegree >= 1 and incastKB >= 1", s.IncastReps)
 		}
 		return compileIncastReps(s, p), nil
+	}
+
+	if s.IncastDegree >= 2 {
+		if hosts := s.Leaves * s.HostsPerLeaf; s.IncastClient < 0 || s.IncastClient >= hosts {
+			return RunConfig{}, fmt.Errorf("incastClient %d: valid range is 0..%d", s.IncastClient, hosts-1)
+		}
+		if s.IncastAtUs < 0 {
+			return RunConfig{}, fmt.Errorf("incastAtUs %d: need >= 0", s.IncastAtUs)
+		}
 	}
 
 	var dist *workload.SizeDist
@@ -325,6 +337,3 @@ func compileMotivation(s spec.Spec) (RunConfig, error) {
 	cfg.Telemetry = specTelemetry(s)
 	return cfg, nil
 }
-
-// schemeNameList is the valid-name suffix for unknown-scheme errors.
-func schemeNameList() string { return strings.Join(spec.SchemeNames(), ", ") }

@@ -9,6 +9,7 @@ import (
 	"github.com/rlb-project/rlb/internal/spec"
 	"github.com/rlb-project/rlb/internal/topo"
 	"github.com/rlb-project/rlb/internal/units"
+	"github.com/rlb-project/rlb/internal/workload"
 )
 
 // tinySpec is a fabric spec small enough to simulate inside a unit test.
@@ -90,10 +91,11 @@ func TestCompileContextIsSpecParams(t *testing.T) {
 	}
 }
 
-// TestCompileSchemeRegistryAgreement pins spec.SchemeNames to the harness
-// scheme registry: every advertised name compiles, deploying RLB exactly when
-// it carries the "+rlb" suffix, and an unknown name's error lists the valid
-// ones.
+// TestCompileSchemeRegistryAgreement pins the advertised names to what
+// Compile accepts: every spec.SchemeNames entry compiles, deploying RLB
+// exactly when it carries the "+rlb" suffix, every workload.Names entry
+// compiles to that distribution, and an unknown scheme's or workload's error
+// lists the valid names.
 func TestCompileSchemeRegistryAgreement(t *testing.T) {
 	for _, name := range spec.SchemeNames() {
 		s := tinySpec()
@@ -123,13 +125,25 @@ func TestCompileSchemeRegistryAgreement(t *testing.T) {
 		}
 	}
 
+	for _, name := range workload.Names() {
+		s := tinySpec()
+		s.Workload = name
+		cfg, err := Compile(s)
+		if err != nil {
+			t.Errorf("advertised workload %q does not compile: %v", name, err)
+			continue
+		}
+		if cfg.Workload == nil || cfg.Workload.Name != name {
+			t.Errorf("workload %q compiled to %v", name, cfg.Workload)
+		}
+	}
 	s := tinySpec()
 	s.Workload = "bogus"
 	_, err := Compile(s)
 	if err == nil {
 		t.Fatal("unknown workload compiled")
 	}
-	for _, name := range spec.WorkloadNames() {
+	for _, name := range workload.Names() {
 		if !strings.Contains(err.Error(), name) {
 			t.Fatalf("unknown-workload error does not list %q: %v", name, err)
 		}
@@ -173,6 +187,18 @@ func TestCompileValidation(t *testing.T) {
 		{"no spines", func(s *spec.Spec) { s.Spines = 0 }, "valid range is 1..64"},
 		{"too many spines", func(s *spec.Spec) { s.Spines = 65 }, "valid range is 1..64"},
 		{"asymPct over 100", func(s *spec.Spec) { s.AsymPct = 150 }, "asymPct 150: valid range is 0..100"},
+		{"incast client off fabric", func(s *spec.Spec) {
+			s.IncastDegree, s.IncastKB, s.IncastClient = 2, 40, 99
+		}, "incastClient 99: valid range is 0..3"},
+		{"negative incast client", func(s *spec.Spec) {
+			s.IncastDegree, s.IncastKB, s.IncastClient = 2, 40, -1
+		}, "incastClient -1: valid range is 0..3"},
+		{"incast in the past", func(s *spec.Spec) {
+			s.IncastDegree, s.IncastKB, s.IncastAtUs = 2, 40, -5
+		}, "incastAtUs -5: need >= 0"},
+		{"fault in the past", func(s *spec.Spec) {
+			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: -10, UpAtUs: 20}}
+		}, "fault on link (l0,s1) downAtUs -10: need >= 0"},
 		{"motiv too many spines", func(s *spec.Spec) {
 			*s = DefaultScale.MotivSpec(1, 2, 2)
 			s.Scheme = "ecmp"

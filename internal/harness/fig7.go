@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/rlb-project/rlb/internal/spec"
+	"github.com/rlb-project/rlb/internal/workload"
 )
 
 // fig7Grids sweeps DRILL and Hermes with and without RLB x load 0.2-0.7 on
@@ -11,7 +12,7 @@ import (
 // per realistic workload.
 func fig7Grids(s Scale, seed uint64) []spec.Grid {
 	var gs []spec.Grid
-	for _, wl := range spec.WorkloadNames() {
+	for _, wl := range workload.Names() {
 		base := s.Spec(seed)
 		base.Workload = wl
 		base.AsymPct = 20

@@ -63,13 +63,14 @@ func TestRunAllOrderAndParallel(t *testing.T) {
 }
 
 func TestScaleByName(t *testing.T) {
-	for _, name := range []string{"bench", "default", "paper"} {
-		if s, ok := ScaleByName(name); !ok || s.Base.Leaves == 0 {
-			t.Errorf("ScaleByName(%s) failed", name)
+	for _, name := range []string{"bench", "default", "scale", "paper"} {
+		if s, err := ScaleByName(name); err != nil || s.Name != name || s.Base.Leaves == 0 {
+			t.Errorf("ScaleByName(%s) = %q, %v", name, s.Name, err)
 		}
 	}
-	if _, ok := ScaleByName("nope"); ok {
-		t.Error("unknown scale accepted")
+	_, err := ScaleByName("nope")
+	if err == nil || !strings.Contains(err.Error(), "bench, default, scale, paper") {
+		t.Errorf("unknown scale: %v, want an error listing bench, default, scale, paper", err)
 	}
 }
 

@@ -44,10 +44,7 @@ func motivationConfig(sp spec.Spec) (RunConfig, error) {
 	burstFlowsPerHost := 10 // scaled stand-in for the paper's 40
 	burstGap := 400 * sim.Microsecond
 
-	bgLoad := float64(m.BgLoadPct) / 100
-	if bgLoad <= 0 {
-		bgLoad = 0.55
-	}
+	const bgLoad = 0.55 // background senders' offered load
 	sprayPaths, bursts, seed := m.SprayPaths, m.Bursts, sp.SimSeed
 	dur := usTime(sp.DurationUs)
 

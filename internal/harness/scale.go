@@ -1,6 +1,11 @@
 package harness
 
-import "github.com/rlb-project/rlb/internal/spec"
+import (
+	"fmt"
+	"strings"
+
+	"github.com/rlb-project/rlb/internal/spec"
+)
 
 // Scale is a named spec base for the figure builders: the fabric shape, link
 // rate/delay, traffic window, and flow cap every figure grid starts from,
@@ -76,19 +81,20 @@ var PaperScale = Scale{
 	Seeds: 3,
 }
 
-// ScaleByName resolves "bench", "scale", "default" or "paper".
-func ScaleByName(name string) (Scale, bool) {
-	switch name {
-	case "bench":
-		return BenchScale, true
-	case "scale":
-		return ScaleTier, true
-	case "default":
-		return DefaultScale, true
-	case "paper":
-		return PaperScale, true
+// Scales are the named figure scales, in the order help text and errors
+// list them.
+var Scales = []Scale{BenchScale, DefaultScale, ScaleTier, PaperScale}
+
+// ScaleByName returns the scale called name; the error lists the valid names.
+func ScaleByName(name string) (Scale, error) {
+	names := make([]string, len(Scales))
+	for i, s := range Scales {
+		if s.Name == name {
+			return s, nil
+		}
+		names[i] = s.Name
 	}
-	return Scale{}, false
+	return Scale{}, fmt.Errorf("harness: unknown scale %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // Spec returns the scale's fabric-kind spec base at the given seed.

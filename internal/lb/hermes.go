@@ -38,9 +38,6 @@ type hermesFlow struct {
 	started     bool
 }
 
-// HermesDefaults returns thresholds scaled to the given base one-way delay.
-func HermesDefaults(mtu int) Factory { return NewHermes(mtu, 0) }
-
 // NewHermes returns a Hermes factory. base is the no-load PathDelay floor
 // used to scale the good/bad thresholds; pass 0 to use absolute defaults.
 func NewHermes(mtu int, base sim.Time) Factory {
@@ -87,8 +84,11 @@ func (h *Hermes) Choose(v View, pkt *fabric.Packet, exclude PathSet) int {
 	if int(pkt.Seq-st.lastMoveSeq)*h.MTU < h.MinBytes {
 		return cur
 	}
-	cand := h.bestPath(v, pkt, exclude.With(cur))
-	if cand == cur {
+	others := exclude.With(cur)
+	cand := h.bestPath(v, pkt, others)
+	if others.Has(cand) {
+		// No other path is allowed, so bestPath fell back to a random draw
+		// (kept, so the RNG stream does not shift): stay on the current path.
 		return cur
 	}
 	candDelay := v.PathDelay(cand, pkt)

@@ -2,7 +2,8 @@
 // pick uplinks, and implements the four schemes the paper builds RLB on:
 // Presto (flowcell round-robin), LetFlow (flowlet switching), Hermes
 // (condition-aware deliberate rerouting) and DRILL (per-packet
-// power-of-two-choices), plus an ECMP baseline.
+// power-of-two-choices), plus ECMP and CONGA. Schemes lists all six in the
+// configurations the paper evaluates.
 //
 // A Chooser ranks paths; the exclude mask lets a caller (RLB's rerouting
 // module) ask for the scheme's *suboptimal* choice when the optimal path has
@@ -95,6 +96,41 @@ type Committer interface {
 // Factory builds one Chooser instance per leaf switch (schemes keep
 // per-switch state).
 type Factory func() Chooser
+
+// Scheme is a base load balancer in the configuration the paper evaluates.
+type Scheme struct {
+	Name string
+	// New returns the scheme's factory for a fabric with the given per-hop
+	// link delay.
+	New func(linkDelay sim.Time) Factory
+}
+
+// Schemes are the paper's six base load balancers, in the canonical order
+// shared by every scheme-name list, help string and valid-name error, each
+// in the configuration the paper evaluates: Presto with 64 KB flowcells,
+// LetFlow and CONGA with 50 µs flowlet gaps, Hermes with its delay
+// thresholds above the no-load path delay (two link hops), and DRILL(2,1).
+// Each combines with RLB ("drill+rlb"). The order is part of the scenario
+// fuzz-corpus format: the generator indexes into the scheme names, so
+// reordering would silently re-interpret committed corpus entries.
+var Schemes = []Scheme{
+	{"ecmp", func(sim.Time) Factory { return NewECMP() }},
+	{"presto", func(sim.Time) Factory { return NewPresto(64*1000, fabric.DefaultMTU) }},
+	{"letflow", func(sim.Time) Factory { return NewLetFlow(50 * sim.Microsecond) }},
+	{"hermes", func(d sim.Time) Factory { return NewHermes(fabric.DefaultMTU, 2*d) }},
+	{"drill", func(sim.Time) Factory { return NewDRILL(2, 1) }},
+	{"conga", func(sim.Time) Factory { return NewCONGA(50 * sim.Microsecond) }},
+}
+
+// SchemeByName returns the base scheme called name.
+func SchemeByName(name string) (Scheme, bool) {
+	for _, s := range Schemes {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Scheme{}, false
+}
 
 // firstOutside returns start if allowed, else the next index (mod n) outside
 // exclude; if everything is excluded it returns start.

@@ -1,6 +1,7 @@
 package lb
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -308,6 +309,30 @@ func TestHermesExcludeIsHypothetical(t *testing.T) {
 	}
 }
 
+// TestHermesStaysWhenOnlyCurrentPathAllowed excludes every path but the
+// flow's current one while that path is congested and the excluded ones look
+// good. Hermes finds no candidate outside the exclusion, so its fallback
+// draws a random path; the flow must stay put rather than follow the draw
+// onto a path the caller excluded.
+func TestHermesStaysWhenOnlyCurrentPathAllowed(t *testing.T) {
+	v := newFakeView(4)
+	h := NewHermes(1000, 0)()
+	p0 := h.Choose(v, dataPkt(1, 0), 0)
+	var others PathSet
+	for i := range v.delays {
+		if i != p0 {
+			others = others.With(i)
+		}
+		v.delays[i] = sim.Microsecond
+	}
+	v.delays[p0] = 200 * sim.Microsecond
+	for seq := uint32(100); seq < 200; seq++ {
+		if got := h.Choose(v, dataPkt(1, seq), others); got != p0 {
+			t.Fatalf("seq %d: chose excluded path %d, want the current path %d", seq, got, p0)
+		}
+	}
+}
+
 func TestAllChoosersRespectExhaustiveExclusion(t *testing.T) {
 	// With every path excluded, choosers must still return a valid index.
 	factories := map[string]Factory{
@@ -355,5 +380,46 @@ func TestFirstOutside(t *testing.T) {
 	full := PathSet(0).With(0).With(1).With(2).With(3)
 	if got := firstOutside(1, 4, full); got != 1 {
 		t.Fatalf("full exclusion should return start: %d", got)
+	}
+}
+
+// TestSchemesTable pins the scheme table: the canonical order (the fuzz
+// corpus indexes into it), each entry's paper configuration, chooser names
+// that match the table, and lookup by name.
+func TestSchemesTable(t *testing.T) {
+	const d = 2 * sim.Microsecond
+	want := []struct {
+		name string
+		cfg  Chooser
+	}{
+		{"ecmp", ECMP{}},
+		{"presto", &Presto{CellBytes: 64 * 1000, MTU: fabric.DefaultMTU}},
+		{"letflow", &LetFlow{Gap: 50 * sim.Microsecond}},
+		{"hermes", &Hermes{DelayGood: 2*d + 10*sim.Microsecond, DelayBad: 2*d + 40*sim.Microsecond,
+			Gain: 8 * sim.Microsecond, MinBytes: 64 * 1000, MTU: fabric.DefaultMTU}},
+		{"drill", &DRILL{D: 2, M: 1}},
+		{"conga", &CONGA{Gap: 50 * sim.Microsecond}},
+	}
+	if len(Schemes) != len(want) {
+		t.Fatalf("%d schemes, want %d", len(Schemes), len(want))
+	}
+	for i, w := range want {
+		s := Schemes[i]
+		if s.Name != w.name {
+			t.Fatalf("Schemes[%d] = %q, want %q", i, s.Name, w.name)
+		}
+		c := s.New(d)()
+		if c.Name() != s.Name {
+			t.Errorf("%s: chooser is named %q", s.Name, c.Name())
+		}
+		if !reflect.DeepEqual(c, w.cfg) {
+			t.Errorf("%s: configured as %+v, want %+v", s.Name, c, w.cfg)
+		}
+		if got, ok := SchemeByName(s.Name); !ok || got.Name != s.Name {
+			t.Errorf("SchemeByName(%q) = %q, %v", s.Name, got.Name, ok)
+		}
+	}
+	if _, ok := SchemeByName("drill+rlb"); ok {
+		t.Error("SchemeByName accepted a +rlb name; the suffix is the spec layer's")
 	}
 }

@@ -1,6 +1,7 @@
 package lb
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -40,7 +41,10 @@ func TestChoosersAlwaysInRange(t *testing.T) {
 				}
 				return true
 			}
-			if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+			// A fixed seed makes a failure replay; quick otherwise seeds from
+			// the clock.
+			cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}
+			if err := quick.Check(prop, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -3,24 +3,21 @@ package spec
 import (
 	"strings"
 
+	"github.com/rlb-project/rlb/internal/lb"
 	"github.com/rlb-project/rlb/internal/workload"
 )
 
-// BaseSchemes are the paper's six base load balancers, in the canonical
-// order shared by the scheme registry, the scenario generator's draw table,
-// and every valid-name error message. Each combines with the "+rlb" suffix.
-// Order is part of the fuzz-corpus format: the generator indexes into
-// SchemeNames, so reordering would silently re-interpret committed corpus
-// entries.
-var BaseSchemes = []string{"ecmp", "presto", "letflow", "hermes", "drill", "conga"}
-
-// SchemeNames returns every valid scheme name: the base schemes followed by
-// their "+rlb" variants, in BaseSchemes order.
+// SchemeNames returns every valid scheme name: the base schemes of
+// lb.Schemes followed by their "+rlb" variants, in lb.Schemes order. The
+// scenario generator indexes into this list, so its order is part of the
+// fuzz-corpus format.
 func SchemeNames() []string {
-	out := make([]string, 0, 2*len(BaseSchemes))
-	out = append(out, BaseSchemes...)
-	for _, b := range BaseSchemes {
-		out = append(out, b+RLBSuffix)
+	out := make([]string, 0, 2*len(lb.Schemes))
+	for _, s := range lb.Schemes {
+		out = append(out, s.Name)
+	}
+	for _, s := range lb.Schemes {
+		out = append(out, s.Name+RLBSuffix)
 	}
 	return out
 }
@@ -31,20 +28,11 @@ const RLBSuffix = "+rlb"
 
 // ValidScheme reports whether name parses as a known scheme: a base name,
 // optionally suffixed with "+rlb". It is the name grammar harness.Compile
-// accepts; a harness test pins the two registries in agreement.
+// accepts.
 func ValidScheme(name string) bool {
-	base := strings.TrimSuffix(name, RLBSuffix)
-	for _, b := range BaseSchemes {
-		if base == b {
-			return true
-		}
-	}
-	return false
+	_, ok := lb.SchemeByName(strings.TrimSuffix(name, RLBSuffix))
+	return ok
 }
-
-// WorkloadNames returns the valid workload distribution names in
-// presentation order.
-func WorkloadNames() []string { return workload.Names() }
 
 // ValidWorkload reports whether name resolves in the workload registry.
 func ValidWorkload(name string) bool {

@@ -146,9 +146,6 @@ type MotivSpec struct {
 	// (Fig. 4(b) sweeps it).
 	SprayPaths int `json:"sprayPaths"`
 	Bursts     int `json:"bursts"`
-	// BgLoadPct is the background senders' offered load percent (0 = the
-	// scenario default, 55%).
-	BgLoadPct int `json:"bgLoadPct,omitempty"`
 }
 
 // TelemetrySpec configures run-time telemetry sampling.
@@ -337,9 +334,6 @@ func (s Spec) Params() string {
 	if s.Motiv != nil {
 		m := s.Motiv
 		out += fmt.Sprintf(" motiv=%dpaths/%dpairs spray=%d bursts=%d", m.Spines, m.Hosts, m.SprayPaths, m.Bursts)
-		if m.BgLoadPct > 0 {
-			out += fmt.Sprintf(" bg=%d%%", m.BgLoadPct)
-		}
 	}
 	if s.AsymPct > 0 {
 		out += fmt.Sprintf(" asym=%d%%", s.AsymPct)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"github.com/rlb-project/rlb/internal/lb"
+	"github.com/rlb-project/rlb/internal/workload"
 )
 
 // fullSpec exercises every serialized field at a nonzero value, so the
@@ -24,7 +27,7 @@ func fullSpec() Spec {
 		NoRecirc: true, NoOrderGuard: true, QthFracPct: 40, DeltaTNs: 2500,
 		PFCOff: true, SelectiveRepeat: true,
 		ProbeUs: 100, Strict: true, Seeds: 3,
-		Motiv:        &MotivSpec{Spines: 5, Hosts: 2, SprayPaths: 3, Bursts: 4, BgLoadPct: 55},
+		Motiv:        &MotivSpec{Spines: 5, Hosts: 2, SprayPaths: 3, Bursts: 4},
 		LeakPutEvery: 9,
 	}
 }
@@ -163,8 +166,8 @@ func TestCloneDoesNotAlias(t *testing.T) {
 
 func TestSchemeAndWorkloadNames(t *testing.T) {
 	names := SchemeNames()
-	if len(names) != 2*len(BaseSchemes) {
-		t.Fatalf("SchemeNames returned %d names for %d bases", len(names), len(BaseSchemes))
+	if len(names) != 2*len(lb.Schemes) {
+		t.Fatalf("SchemeNames returned %d names for %d bases", len(names), len(lb.Schemes))
 	}
 	for _, n := range names {
 		if !ValidScheme(n) {
@@ -176,9 +179,9 @@ func TestSchemeAndWorkloadNames(t *testing.T) {
 			t.Fatalf("ValidScheme accepted %q", bad)
 		}
 	}
-	for _, w := range WorkloadNames() {
+	for _, w := range workload.Names() {
 		if !ValidWorkload(w) {
-			t.Fatalf("WorkloadNames entry %q not ValidWorkload", w)
+			t.Fatalf("workload.Names entry %q not ValidWorkload", w)
 		}
 	}
 	if ValidWorkload("bogus") {

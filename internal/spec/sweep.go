@@ -162,24 +162,6 @@ func (s *Spec) SetInt(field string, v int) error {
 			return err
 		}
 		m.Bursts = v
-	case "motivSpines":
-		m, err := s.motiv(field)
-		if err != nil {
-			return err
-		}
-		m.Spines = v
-	case "motivHosts":
-		m, err := s.motiv(field)
-		if err != nil {
-			return err
-		}
-		m.Hosts = v
-	case "bgLoadPct":
-		m, err := s.motiv(field)
-		if err != nil {
-			return err
-		}
-		m.BgLoadPct = v
 	default:
 		return fmt.Errorf("unknown int field %q", field)
 	}

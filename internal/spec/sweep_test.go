@@ -132,11 +132,8 @@ func TestSetIntCoversEveryIntField(t *testing.T) {
 		}
 	}
 	motivFields := map[string]func(Spec) int{
-		"sprayPaths":  func(s Spec) int { return s.Motiv.SprayPaths },
-		"bursts":      func(s Spec) int { return s.Motiv.Bursts },
-		"motivSpines": func(s Spec) int { return s.Motiv.Spines },
-		"motivHosts":  func(s Spec) int { return s.Motiv.Hosts },
-		"bgLoadPct":   func(s Spec) int { return s.Motiv.BgLoadPct },
+		"sprayPaths": func(s Spec) int { return s.Motiv.SprayPaths },
+		"bursts":     func(s Spec) int { return s.Motiv.Bursts },
 	}
 	for field, read := range motivFields {
 		s := Spec{Motiv: &MotivSpec{}}

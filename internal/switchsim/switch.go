@@ -124,10 +124,6 @@ type Switch struct {
 	// reports whether it consumed them. RLB hooks CNM processing here.
 	OnControl func(pkt *fabric.Packet, inPort int) bool
 
-	// OnDeliver handles frames addressed to a directly attached host when
-	// the routing table maps the destination to port -1 (loopback testing).
-	OnDeliver func(pkt *fabric.Packet)
-
 	// upstreamUse tracks, per egress port, which ingress ports recently fed
 	// it; RLB's CNM relay uses this instead of MAC learning (see DESIGN.md).
 	// Each egress port holds a dense per-ingress stamp row: recording use is
@@ -188,9 +184,6 @@ func (sw *Switch) NumPorts() int { return len(sw.ports) }
 
 // SetRouter installs the forwarding policy.
 func (sw *Switch) SetRouter(r Router) { sw.router = r }
-
-// Router returns the installed forwarding policy.
-func (sw *Switch) Router() Router { return sw.router }
 
 // IngressBytes returns the data-class occupancy attributed to ingress port i
 // — the quantity RLB's predictor differentiates.

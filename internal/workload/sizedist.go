@@ -167,19 +167,13 @@ func CacheFollower() *SizeDist {
 
 // ByName returns a workload by its canonical name.
 func ByName(name string) (*SizeDist, error) {
-	switch name {
-	case "websearch":
-		return WebSearch(), nil
-	case "datamining":
-		return DataMining(), nil
-	case "webserver":
-		return WebServer(), nil
-	case "cachefollower":
-		return CacheFollower(), nil
-	default:
-		return nil, fmt.Errorf("workload: unknown distribution %q (valid: %s)",
-			name, strings.Join(Names(), ", "))
+	for _, d := range All() {
+		if d.Name == name {
+			return d, nil
+		}
 	}
+	return nil, fmt.Errorf("workload: unknown distribution %q (valid: %s)",
+		name, strings.Join(Names(), ", "))
 }
 
 // All returns the four paper workloads in presentation order.

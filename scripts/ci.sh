@@ -4,8 +4,8 @@
 #   1. build       — everything compiles
 #   2. lint        — gofmt gate (no tracked Go file outside testdata/ needs
 #                    formatting) + go vet + simlint (determinism / poolcheck /
-#                    timercheck / unitsafe / hotpath / exhaustive; see
-#                    TESTING.md "Static analysis tier"). Findings are also
+#                    timercheck / unitsafe / hotpath; see TESTING.md
+#                    "Static analysis tier"). Findings are also
 #                    captured as a JSON Lines artifact (simlint.jsonl under
 #                    $CI_ARTIFACT_DIR, default artifacts/) for tooling, even
 #                    when the tier fails.
