@@ -91,12 +91,13 @@ simlint:
 # canonical-spec contracts in one command — JSON round trips byte-stable with
 # unknown fields rejected, the compiler's thresholds, fabric params and fault
 # schedules pinned to literal values, the declarative figure grids pinned to
-# their golden, a serialized cell replaying bit-identically, and every
-# committed fuzz-corpus entry and repro fixture still decoding.
+# their golden, a serialized cell replaying bit-identically, every
+# committed fuzz-corpus entry and repro fixture still decoding, and repro
+# files decoding as strictly as specs.
 spec-verify:
 	$(GO) test -count=1 ./internal/spec/
 	$(GO) test -count=1 -run 'TestCompile|TestFigureGrids' ./internal/harness/
-	$(GO) test -count=1 -run 'TestCommittedCorpusStillDecodes|TestCommittedReproStillReplays' ./internal/scenario/
+	$(GO) test -count=1 -run 'TestCommittedCorpusStillDecodes|TestCommittedReproStillReplays|TestLoadReproRejectsUnknownFields' ./internal/scenario/
 
 # Run every examples/* main (~2 s); fails on the first non-zero exit. The
 # examples' stdout is discarded: they are smoke runs of the public API here.

@@ -47,8 +47,8 @@ var scenarioFlags = map[string]bool{
 	"scheme": true, "workload": true, "load": true, "leaves": true,
 	"spines": true, "hosts": true, "gbps": true, "duration": true,
 	"drain": true, "asym": true, "cap": true, "seed": true, "seeds": true,
-	"noguard": true, "norecirc": true, "probe": true, "kill": true,
-	"kill-at": true, "restore-at": true, "strict": true, "spec": true,
+	"norecirc": true, "kill": true, "kill-at": true, "restore-at": true,
+	"strict": true, "spec": true,
 }
 
 func main() {
@@ -69,12 +69,10 @@ func main() {
 	capBytes := flag.Int("cap", 5_000_000, "max flow size in bytes (0 = uncapped)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	seeds := flag.Int("seeds", 1, "number of seeds to run and average")
-	noGuard := flag.Bool("noguard", false, "RLB ablation: disable the flow-order guard")
 	noRecirc := flag.Bool("norecirc", false, "RLB ablation: disable packet recirculation")
 	traceN := flag.Int("trace", 0, "print the last N control-plane events from the telemetry event log")
 	telemetryOut := flag.String("telemetry", "", "sample run-time telemetry and write the series to this file (JSONL; a .csv suffix writes CSV)")
 	sampleInterval := flag.Duration("sample-interval", 10*time.Microsecond, "telemetry sampling interval (with -telemetry)")
-	probe := flag.Duration("probe", 0, "use in-band probe telemetry at this interval instead of oracle path state (0 = oracle)")
 	kill := flag.Int("kill", 0, "fault plane: kill this many of leaf 0's spine uplinks")
 	killAt := flag.Duration("kill-at", time.Millisecond, "fault plane: when to kill the links")
 	restoreAt := flag.Duration("restore-at", 0, "fault plane: when to restore them (0 = never)")
@@ -165,14 +163,8 @@ func main() {
 	if set("seeds") {
 		s.Seeds = *seeds
 	}
-	if visited["noguard"] {
-		s.NoOrderGuard = *noGuard
-	}
 	if visited["norecirc"] {
 		s.NoRecirc = *noRecirc
-	}
-	if visited["probe"] {
-		s.ProbeUs = int(*probe / time.Microsecond)
 	}
 	if visited["strict"] {
 		s.Strict = *strict

@@ -112,9 +112,11 @@ func TestHelpListsSchemesAndWorkloads(t *testing.T) {
 
 // TestSpecOutOfRangeExitsTwo loads raw specs with one field out of range on
 // a 2x2/2 fabric (4 hosts). Compile must reject each as a usage error that
-// names the field and its valid range, instead of the run panicking: on more
-// asymmetric links than the fabric has, on an incast client that is not a
-// host, or on an incast or fault scheduled before time zero.
+// names the field and its valid range, instead of the run panicking or
+// silently running something else: on more asymmetric links than the fabric
+// has, on an incast client that is not a host, on an incast or fault
+// scheduled before time zero, on a degrade window below 1 bit/s, or on a
+// negative link delay.
 func TestSpecOutOfRangeExitsTwo(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -131,6 +133,10 @@ func TestSpecOutOfRangeExitsTwo(t *testing.T) {
 		{"downAtUs", func(s *spec.Spec) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: -10, UpAtUs: 100}}
 		}, "downAtUs -10: need >= 0"},
+		{"rateDiv", func(s *spec.Spec) {
+			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 10, UpAtUs: 100, RateDiv: 20_000_000_000}}
+		}, "fault on link (l0,s1) rateDiv 20000000000: valid range is 0..10000000000"},
+		{"linkDelayNs", func(s *spec.Spec) { s.LinkDelayNs = -5 }, "linkDelayNs -5: need >= 0"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := spec.Spec{

@@ -39,12 +39,6 @@ type Params struct {
 	// clamped into the conservative range of §3.2.3.
 	QthFraction float64
 
-	// WarnHorizon is the look-ahead used with the queue derivative: warn
-	// when the queue is predicted to reach the PFC threshold within this
-	// time. The analysis uses the one-hop delay d (the time the warning
-	// needs to take effect upstream).
-	WarnHorizon sim.Time
-
 	// WarnExpiry is how long a PFC warning stays live at the upstream
 	// switch without being refreshed.
 	WarnExpiry sim.Time
@@ -81,7 +75,6 @@ func DefaultParams(linkDelay sim.Time) Params {
 	return Params{
 		DeltaT:         2 * sim.Microsecond,
 		QthFraction:    0.3,
-		WarnHorizon:    linkDelay + 2*sim.Microsecond,
 		WarnExpiry:     30 * sim.Microsecond,
 		ReWarnInterval: 10 * sim.Microsecond,
 		Trc:            1 * sim.Microsecond,
@@ -98,9 +91,6 @@ func (p Params) Normalize(linkDelay sim.Time) Params {
 	}
 	if p.QthFraction <= 0 {
 		p.QthFraction = d.QthFraction
-	}
-	if p.WarnHorizon <= 0 {
-		p.WarnHorizon = d.WarnHorizon
 	}
 	if p.WarnExpiry <= 0 {
 		p.WarnExpiry = d.WarnExpiry

@@ -104,9 +104,8 @@ func TestPredictorQuietWhenUncongested(t *testing.T) {
 func TestPredictorDerivativeFiresBeforeStaticThreshold(t *testing.T) {
 	cfg := switchsim.DefaultConfig()
 	cfg.PFCThreshold = 120 * 1000
-	// Static threshold very late, long look-ahead: the derivative term must
-	// be what fires.
-	params := Params{QthFraction: 0.8, WarnHorizon: 12 * sim.Microsecond}
+	// Static threshold very late: the derivative term must be what fires.
+	params := Params{QthFraction: 0.8}
 	r := newPredRig(cfg, params, 2*units.Gbps)
 	r.flood(200)
 	r.eng.RunUntil(2 * sim.Millisecond)

@@ -288,7 +288,7 @@ func TestPacketFIFOCompaction(t *testing.T) {
 func TestPacketTypeString(t *testing.T) {
 	names := map[PacketType]string{
 		Data: "DATA", Ack: "ACK", Nak: "NAK", CNP: "CNP",
-		Pause: "PAUSE", Resume: "RESUME", CNM: "CNM", Probe: "PROBE",
+		Pause: "PAUSE", Resume: "RESUME", CNM: "CNM",
 	}
 	for pt, want := range names {
 		if pt.String() != want {

@@ -28,7 +28,6 @@ const (
 	Pause  // PFC PAUSE for a priority class
 	Resume // PFC RESUME for a priority class
 	CNM    // RLB's PFC-warning congestion notification message
-	Probe  // path telemetry probe
 )
 
 // String returns the frame kind name.
@@ -48,8 +47,6 @@ func (t PacketType) String() string {
 		return "RESUME"
 	case CNM:
 		return "CNM"
-	case Probe:
-		return "PROBE"
 	default:
 		return fmt.Sprintf("PacketType(%d)", uint8(t))
 	}

@@ -120,6 +120,9 @@ func validateShape(s spec.Spec) error {
 	if s.LinkGbps < 1 {
 		return fmt.Errorf("linkGbps %d: need >= 1", s.LinkGbps)
 	}
+	if s.LinkDelayNs < 0 {
+		return fmt.Errorf("linkDelayNs %d: need >= 0", s.LinkDelayNs)
+	}
 	if s.DurationUs <= 0 {
 		return fmt.Errorf("durationUs %d: need > 0", s.DurationUs)
 	}
@@ -174,9 +177,6 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 	if s.SelectiveRepeat {
 		p.Host.SelectiveRepeat = true
 	}
-	if s.ProbeUs > 0 {
-		p.ProbeInterval = usTime(s.ProbeUs)
-	}
 	for _, f := range s.Faults {
 		if f.Leaf < 0 || f.Leaf >= s.Leaves || f.Spine < 0 || f.Spine >= s.Spines {
 			return RunConfig{}, fmt.Errorf("fault on link (l%d,s%d) outside the %dx%d fabric",
@@ -185,6 +185,12 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 		if f.DownAtUs < 0 {
 			return RunConfig{}, fmt.Errorf("fault on link (l%d,s%d) downAtUs %d: need >= 0",
 				f.Leaf, f.Spine, f.DownAtUs)
+		}
+		// RateDiv 0 or 1 is a kill window; above that the link runs at
+		// LinkRate/RateDiv bit/s, which must stay at least 1.
+		if maxDiv := int64(specRate(s)); f.RateDiv < 0 || int64(f.RateDiv) > maxDiv {
+			return RunConfig{}, fmt.Errorf("fault on link (l%d,s%d) rateDiv %d: valid range is 0..%d",
+				f.Leaf, f.Spine, f.RateDiv, maxDiv)
 		}
 	}
 

@@ -199,6 +199,13 @@ func TestCompileValidation(t *testing.T) {
 		{"fault in the past", func(s *spec.Spec) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: -10, UpAtUs: 20}}
 		}, "fault on link (l0,s1) downAtUs -10: need >= 0"},
+		{"fault rate below 1 bit/s", func(s *spec.Spec) {
+			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 10, UpAtUs: 20, RateDiv: 20_000_000_000}}
+		}, "fault on link (l0,s1) rateDiv 20000000000: valid range is 0..10000000000"},
+		{"negative fault rate divisor", func(s *spec.Spec) {
+			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 10, UpAtUs: 20, RateDiv: -4}}
+		}, "fault on link (l0,s1) rateDiv -4: valid range is 0..10000000000"},
+		{"negative link delay", func(s *spec.Spec) { s.LinkDelayNs = -5 }, "linkDelayNs -5: need >= 0"},
 		{"motiv too many spines", func(s *spec.Spec) {
 			*s = DefaultScale.MotivSpec(1, 2, 2)
 			s.Scheme = "ecmp"

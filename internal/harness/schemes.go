@@ -25,7 +25,6 @@ func applyScheme(p *topo.Params, s spec.Spec) error {
 	}
 	rp := core.DefaultParams(p.LinkDelay)
 	rp.DisableRecirculation = s.NoRecirc
-	rp.DisableOrderGuard = s.NoOrderGuard
 	if s.QthFracPct > 0 {
 		rp.QthFraction = float64(s.QthFracPct) / 100
 	}

@@ -92,3 +92,32 @@ func TestCommittedReproStillReplays(t *testing.T) {
 		t.Fatalf("fixture scenario fails the property suite again: %v", fail)
 	}
 }
+
+// TestLoadReproRejectsUnknownFields holds repro files to spec.Decode's
+// strictness: a retired spec field, an unknown top-level field, or a second
+// document after the first must fail to load instead of replaying a
+// different scenario than the one recorded.
+func TestLoadReproRejectsUnknownFields(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "repro_fixture.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, data, errHas string
+	}{
+		{"retired spec field", strings.Replace(string(fixture), `"simSeed": 7,`, `"simSeed": 7, "probeUs": 50,`, 1), `"probeUs"`},
+		{"unknown top-level field", strings.Replace(string(fixture), `"property":`, `"verdict": "fail", "property":`, 1), `"verdict"`},
+		{"trailing document", string(fixture) + string(fixture), "trailing data"},
+	} {
+		if c.data == string(fixture) {
+			t.Fatalf("%s: fixture edit did not apply", c.name)
+		}
+		path := filepath.Join(t.TempDir(), "repro.json")
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadRepro(path); err == nil || !strings.Contains(err.Error(), c.errHas) {
+			t.Errorf("%s: want error containing %q, got %v", c.name, c.errHas, err)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+
+	"github.com/rlb-project/rlb/internal/spec"
 )
 
 // Repro is the on-disk reproduction record the shrinker writes for a failing
@@ -25,14 +27,16 @@ func WriteRepro(path string, f *Failure) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadRepro parses a repro file.
+// LoadRepro parses a repro file with spec.DecodeStrict, so a stale file
+// carrying a retired field fails to load instead of replaying a different
+// scenario than the one it recorded.
 func LoadRepro(path string) (Repro, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Repro{}, fmt.Errorf("scenario: read repro: %w", err)
 	}
 	var r Repro
-	if err := json.Unmarshal(data, &r); err != nil {
+	if err := spec.DecodeStrict(data, &r); err != nil {
 		return Repro{}, fmt.Errorf("scenario: parse repro %s: %w", path, err)
 	}
 	return r, nil

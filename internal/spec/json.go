@@ -3,6 +3,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 )
 
@@ -18,22 +19,30 @@ func Encode(s Spec) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Decode parses a canonical spec document. Unknown fields are rejected: a
-// typo'd knob in a hand-edited spec must fail loudly, not silently fall back
-// to a default and run a different experiment than the author intended.
+// Decode parses a canonical spec document with DecodeStrict.
 func Decode(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("spec: decode: %w", err)
 	}
-	// Reject trailing garbage (a second JSON document, say) for the same
-	// fail-loudly reason as unknown fields.
-	if dec.More() {
-		return Spec{}, fmt.Errorf("spec: decode: trailing data after spec document")
-	}
 	return s, nil
+}
+
+// DecodeStrict parses exactly one JSON document into v. Unknown fields are
+// rejected: a typo'd or retired knob in a hand-edited file must fail loudly,
+// not silently fall back to a default and run a different experiment than
+// the author intended. Trailing data (a second document, say) is rejected
+// for the same reason.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if dec.More() {
+		return errors.New("trailing data after the JSON document")
+	}
+	return nil
 }
 
 // EncodeGrids renders a grid list in the same canonical form as Encode.
@@ -45,16 +54,11 @@ func EncodeGrids(gs []Grid) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// DecodeGrids parses a grid list with the same strictness as Decode.
+// DecodeGrids parses a grid list with DecodeStrict.
 func DecodeGrids(data []byte) ([]Grid, error) {
 	var gs []Grid
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&gs); err != nil {
+	if err := DecodeStrict(data, &gs); err != nil {
 		return nil, fmt.Errorf("spec: decode grids: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("spec: decode grids: trailing data after grid document")
 	}
 	return gs, nil
 }

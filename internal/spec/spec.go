@@ -93,10 +93,9 @@ type Spec struct {
 	// core.DefaultParams verbatim. QthFracPct is the PFC warning threshold
 	// as a percent of the PFC threshold; DeltaTNs the derivative sampling
 	// interval in nanoseconds (the paper sweeps 2–5 µs in 0.5 µs steps).
-	NoRecirc     bool `json:"noRecirc,omitempty"`
-	NoOrderGuard bool `json:"noOrderGuard,omitempty"`
-	QthFracPct   int  `json:"qthFracPct,omitempty"`
-	DeltaTNs     int  `json:"deltaTNs,omitempty"`
+	NoRecirc   bool `json:"noRecirc,omitempty"`
+	QthFracPct int  `json:"qthFracPct,omitempty"`
+	DeltaTNs   int  `json:"deltaTNs,omitempty"`
 
 	// PFCOff disables lossless mode (the Fig. 3 comparison axis and the
 	// IRN extension's lossy fabric); SelectiveRepeat switches hosts from
@@ -104,9 +103,6 @@ type Spec struct {
 	PFCOff          bool `json:"pfcOff,omitempty"`
 	SelectiveRepeat bool `json:"selectiveRepeat,omitempty"`
 
-	// ProbeUs, when nonzero, replaces oracle path telemetry with in-band
-	// probes at this interval (microseconds).
-	ProbeUs int `json:"probeUs,omitempty"`
 	// Strict enables the invariant checker's expensive tier.
 	Strict bool `json:"strict,omitempty"`
 	// Seeds is how many seeds an averaging runner should use (0 = 1). The
@@ -155,7 +151,7 @@ type TelemetrySpec struct {
 }
 
 // FaultSpec is one fault window on leaf-spine link (Leaf, Spine): a kill
-// window (RateDiv <= 1) cutting the link from DownAtUs to UpAtUs, or a
+// window (RateDiv 0 or 1) cutting the link from DownAtUs to UpAtUs, or a
 // degrade window (RateDiv > 1) running it at LinkRate/RateDiv over the same
 // span. UpAtUs <= DownAtUs schedules the break only, never the repair.
 type FaultSpec struct {
@@ -242,8 +238,8 @@ func (s Spec) DrainFloorUs() int {
 // drain above the completion floor.
 //
 // Fields outside the generator's sampled surface — the figure-only knobs
-// (Motiv, IncastReps, PFCOff, SelectiveRepeat, probes, telemetry, RLB
-// ablations, strict/seeds overrides) — are cleared: the envelope's theorems
+// (Motiv, IncastReps, PFCOff, SelectiveRepeat, telemetry, RLB ablations,
+// strict/seeds overrides) — are cleared: the envelope's theorems
 // (losslessness, completion) are calibrated without them, and the property
 // runner supplies its own strictness and scheduler choices. Figure grids
 // deliberately live outside this envelope and are never normalized.
@@ -252,8 +248,7 @@ func (s Spec) Normalize() Spec {
 	s.IncastReps = 0
 	s.PFCOff = false
 	s.SelectiveRepeat = false
-	s.ProbeUs = 0
-	s.NoRecirc, s.NoOrderGuard = false, false
+	s.NoRecirc = false
 	s.QthFracPct, s.DeltaTNs = 0, 0
 	s.LinkDelayNs = 0
 	s.Strict = false
@@ -361,17 +356,11 @@ func (s Spec) Params() string {
 	if s.NoRecirc {
 		out += " norecirc"
 	}
-	if s.NoOrderGuard {
-		out += " noguard"
-	}
 	if s.QthFracPct > 0 {
 		out += fmt.Sprintf(" qth=%d%%", s.QthFracPct)
 	}
 	if s.DeltaTNs > 0 {
 		out += fmt.Sprintf(" dt=%dns", s.DeltaTNs)
-	}
-	if s.ProbeUs > 0 {
-		out += fmt.Sprintf(" probe=%dus", s.ProbeUs)
 	}
 	if s.Telemetry != nil {
 		out += fmt.Sprintf(" telem=%dus", s.Telemetry.SampleUs)

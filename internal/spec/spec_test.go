@@ -24,9 +24,9 @@ func fullSpec() Spec {
 			{Leaf: 0, Spine: 1, DownAtUs: 1000, UpAtUs: 3000},
 			{Leaf: 1, Spine: 2, DownAtUs: 500, UpAtUs: 900, RateDiv: 4},
 		},
-		NoRecirc: true, NoOrderGuard: true, QthFracPct: 40, DeltaTNs: 2500,
+		NoRecirc: true, QthFracPct: 40, DeltaTNs: 2500,
 		PFCOff: true, SelectiveRepeat: true,
-		ProbeUs: 100, Strict: true, Seeds: 3,
+		Strict: true, Seeds: 3,
 		Motiv:        &MotivSpec{Spines: 5, Hosts: 2, SprayPaths: 3, Bursts: 4},
 		LeakPutEvery: 9,
 	}
@@ -142,8 +142,8 @@ func TestNormalizeIsFixpoint(t *testing.T) {
 func TestNormalizeClearsFigureOnlyKnobs(t *testing.T) {
 	n := fullSpec().Normalize()
 	if n.Motiv != nil || n.IncastReps != 0 || n.PFCOff || n.SelectiveRepeat ||
-		n.ProbeUs != 0 || n.NoRecirc || n.NoOrderGuard || n.QthFracPct != 0 ||
-		n.DeltaTNs != 0 || n.LinkDelayNs != 0 || n.Strict || n.Seeds != 0 {
+		n.NoRecirc || n.QthFracPct != 0 || n.DeltaTNs != 0 ||
+		n.LinkDelayNs != 0 || n.Strict || n.Seeds != 0 {
 		t.Fatalf("figure-only knobs survived Normalize: %+v", n)
 	}
 	if n.DrainUs < n.DrainFloorUs() {

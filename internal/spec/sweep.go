@@ -132,8 +132,6 @@ func (s *Spec) SetInt(field string, v int) error {
 		s.IncastReps = v
 	case "noRecirc":
 		s.NoRecirc = v != 0
-	case "noOrderGuard":
-		s.NoOrderGuard = v != 0
 	case "qthFracPct":
 		s.QthFracPct = v
 	case "deltaTNs":
@@ -142,8 +140,6 @@ func (s *Spec) SetInt(field string, v int) error {
 		s.PFCOff = v != 0
 	case "selectiveRepeat":
 		s.SelectiveRepeat = v != 0
-	case "probeUs":
-		s.ProbeUs = v
 	case "strict":
 		s.Strict = v != 0
 	case "seeds":

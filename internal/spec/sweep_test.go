@@ -113,11 +113,9 @@ func TestSetIntCoversEveryIntField(t *testing.T) {
 		"incastReps":      func(s Spec) int { return s.IncastReps },
 		"qthFracPct":      func(s Spec) int { return s.QthFracPct },
 		"deltaTNs":        func(s Spec) int { return s.DeltaTNs },
-		"probeUs":         func(s Spec) int { return s.ProbeUs },
 		"seeds":           func(s Spec) int { return s.Seeds },
 		"leakPutEvery":    func(s Spec) int { return s.LeakPutEvery },
 		"noRecirc":        func(s Spec) int { return boolToInt(s.NoRecirc) },
-		"noOrderGuard":    func(s Spec) int { return boolToInt(s.NoOrderGuard) },
 		"pfcOff":          func(s Spec) int { return boolToInt(s.PFCOff) },
 		"selectiveRepeat": func(s Spec) int { return boolToInt(s.SelectiveRepeat) },
 		"strict":          func(s Spec) int { return boolToInt(s.Strict) },

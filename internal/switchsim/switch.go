@@ -67,8 +67,6 @@ type Decision struct {
 	Recirculate bool
 	// RecircDelay is the pipeline delay of one recirculation pass.
 	RecircDelay sim.Time
-	// Drop discards the frame (used only by tests/fault injection).
-	Drop bool
 }
 
 // Router decides the egress port for data frames arriving at a switch.
@@ -91,7 +89,7 @@ type Stats struct {
 	CNMSent     uint64 // RLB warnings generated by the local predictor
 	CNMRelayed  uint64 // RLB warnings propagated hop-by-hop
 	Recirced    uint64 // data frames recirculated
-	Dropped     uint64 // shared-pool overflow and router drops
+	Dropped     uint64 // shared-pool overflow drops
 	DataIn      uint64
 	PeakShared  int
 	PeakIngress int
@@ -238,7 +236,7 @@ func (sw *Switch) Receive(pkt *fabric.Packet, in *fabric.Port) {
 			fabric.Release(pkt)
 			return
 		}
-		// Other control frames (ACK/NAK/CNP/probes) are forwarded like data
+		// Other control frames (ACK/NAK/CNP) are forwarded like data
 		// but in the control class and without buffer accounting.
 		sw.forwardControl(pkt, in.Index)
 	}
@@ -246,10 +244,6 @@ func (sw *Switch) Receive(pkt *fabric.Packet, in *fabric.Port) {
 
 func (sw *Switch) forwardControl(pkt *fabric.Packet, inPort int) {
 	dec := sw.router.Route(sw, pkt, inPort)
-	if dec.Drop {
-		fabric.Release(pkt)
-		return
-	}
 	// Control frames never recirculate; a Recirculate decision for them is a
 	// router bug.
 	if dec.Recirculate {
@@ -324,13 +318,6 @@ func (sw *Switch) RecircPooled() int { return sw.recircPooled }
 
 func (sw *Switch) routeData(pkt *fabric.Packet, inPort int) {
 	dec := sw.router.Route(sw, pkt, inPort)
-	if dec.Drop {
-		sw.release(pkt)
-		sw.Stats.Dropped++
-		sw.RecordEvent(telemetry.Drop, inPort, pkt.FlowID, pkt.Seq, sw.sharedUsed)
-		fabric.Release(pkt)
-		return
-	}
 	if dec.Recirculate {
 		sw.Stats.Recirced++
 		pkt.Recirc++

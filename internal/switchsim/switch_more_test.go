@@ -37,27 +37,6 @@ func TestECNMarkingMonotoneInQueueDepth(t *testing.T) {
 	}
 }
 
-func TestRouterDropDecision(t *testing.T) {
-	r := newRig(DefaultConfig(), 40*units.Gbps, sim.Microsecond)
-	r.sw.SetRouter(RouterFunc(func(sw *Switch, pkt *fabric.Packet, in int) Decision {
-		if pkt.Type == fabric.Data && pkt.Seq%2 == 0 {
-			return Decision{Drop: true}
-		}
-		return Decision{Out: 1}
-	}))
-	r.send(10, 1000)
-	r.eng.Run()
-	if len(r.h[1].got) != 5 {
-		t.Fatalf("delivered %d, want 5", len(r.h[1].got))
-	}
-	if r.sw.Stats.Dropped != 5 {
-		t.Fatalf("dropped %d, want 5", r.sw.Stats.Dropped)
-	}
-	if r.sw.SharedUsed() != 0 {
-		t.Fatal("dropped frames leaked buffer accounting")
-	}
-}
-
 func TestControlRecirculationPanics(t *testing.T) {
 	r := newRig(DefaultConfig(), 40*units.Gbps, sim.Microsecond)
 	r.sw.SetRouter(RouterFunc(func(sw *Switch, pkt *fabric.Packet, in int) Decision {

@@ -43,11 +43,7 @@ func (ep *endpoint) DevID() int { return ep.id }
 type dstRouter map[int]int
 
 func (r dstRouter) Route(sw *Switch, pkt *fabric.Packet, in int) Decision {
-	out, ok := r[pkt.DstID]
-	if !ok {
-		return Decision{Drop: true}
-	}
-	return Decision{Out: out}
+	return Decision{Out: r[pkt.DstID]}
 }
 
 // rig builds host0 -- sw -- host1 with the given rate/delay and config.

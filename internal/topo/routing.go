@@ -43,11 +43,6 @@ func (v *leafView) PathDelay(i int, pkt *fabric.Packet) sim.Time {
 		(dstLeaf >= 0 && dstLeaf < v.net.P.Leaves && dstLeaf != v.leaf && !v.net.LinkIsUp(dstLeaf, i)) {
 		return deadPathDelay
 	}
-	if v.net.probes != nil {
-		// Probe telemetry: an in-band, EWMA'd, slightly stale estimate of
-		// the uplink leg, plus the propagation floor of the spine leg.
-		return v.net.probes[v.leaf].delay(i) + v.net.P.LinkDelay
-	}
 	up := v.net.Leaves[v.leaf].Port(v.net.P.HostsPerLeaf + i)
 	d := up.DrainTime() + 2*v.net.P.LinkDelay
 	if dstLeaf >= 0 && dstLeaf < v.net.P.Leaves && dstLeaf != v.leaf {
@@ -75,13 +70,6 @@ type leafRouter struct {
 
 func (r *leafRouter) Route(sw *switchsim.Switch, pkt *fabric.Packet, in int) switchsim.Decision {
 	p := r.net.P
-	if pkt.Type == fabric.Probe {
-		// A reflected probe returning home: ingest and consume.
-		if r.net.probes != nil && int(pkt.FlowID) == r.leaf {
-			r.net.probes[r.leaf].onReturn(pkt)
-		}
-		return switchsim.Decision{Drop: true}
-	}
 	dstLeaf := r.net.LeafOf(pkt.DstID)
 	if dstLeaf == r.leaf {
 		return switchsim.Decision{Out: pkt.DstID % p.HostsPerLeaf}
@@ -107,9 +95,5 @@ func (r *leafRouter) Route(sw *switchsim.Switch, pkt *fabric.Packet, in int) swi
 type spineRouter struct{ net *Network }
 
 func (r spineRouter) Route(sw *switchsim.Switch, pkt *fabric.Packet, in int) switchsim.Decision {
-	if pkt.Type == fabric.Probe {
-		// Reflect probes straight back to the leaf that sent them.
-		return switchsim.Decision{Out: in}
-	}
 	return switchsim.Decision{Out: r.net.LeafOf(pkt.DstID)}
 }

@@ -44,12 +44,6 @@ type Params struct {
 	AsymFraction float64
 	AsymRate     units.Bandwidth
 
-	// ProbeInterval, when non-zero, replaces the oracle path telemetry with
-	// real probe frames: each leaf measures per-uplink RTTs in band and the
-	// load balancers see EWMA'd estimates instead of instantaneous queue
-	// state (see internal/topo/probes.go and DESIGN.md substitution 2).
-	ProbeInterval sim.Time
-
 	// Checker, when non-nil, is threaded through every switch and host so
 	// the data plane self-checks the lossless invariants as it runs (see
 	// internal/invariant). The harness attaches one per simulation.
@@ -97,7 +91,6 @@ type Network struct {
 
 	views    []*leafView
 	routers  []*leafRouter
-	probes   []*probeMonitor
 	nextFlow uint32
 	rng      *rng.Source
 	pool     *fabric.Pool
@@ -218,14 +211,6 @@ func Build(p Params) *Network {
 		n.Spines[s].SetRouter(spineRouter{net: n})
 	}
 
-	// Probe-based telemetry (optional).
-	if p.ProbeInterval > 0 {
-		n.probes = make([]*probeMonitor, p.Leaves)
-		for l := 0; l < p.Leaves; l++ {
-			n.probes[l] = newProbeMonitor(n, l, p.ProbeInterval)
-		}
-	}
-
 	// RLB predictors and relays.
 	if p.RLB != nil {
 		params := p.RLB.Normalize(p.LinkDelay)
@@ -292,25 +277,12 @@ func (n *Network) SprayFlow(f *transport.Flow, k int) {
 	n.routers[leaf].spray.Put(f.ID, k)
 }
 
-// StopRLB halts all periodic machinery (RLB predictors and probe monitors)
-// so the event queue can drain.
+// StopRLB halts the RLB predictors' periodic sampling so the event queue can
+// drain.
 func (n *Network) StopRLB() {
 	for _, p := range n.Predictors {
 		p.Stop()
 	}
-	for _, m := range n.probes {
-		m.stop()
-	}
-}
-
-// ProbeStats returns (sent, received) probe counts across leaves (zero when
-// probe telemetry is off).
-func (n *Network) ProbeStats() (sent, rcvd uint64) {
-	for _, m := range n.probes {
-		sent += m.ProbesSent
-		rcvd += m.ProbesRcvd
-	}
-	return
 }
 
 // Run advances the simulation by d and then stops RLB sampling.

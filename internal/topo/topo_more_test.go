@@ -32,6 +32,19 @@ func TestPathDelayReflectsQueues(t *testing.T) {
 	if got := view.PathDelay(1, pkt); got != base {
 		t.Fatalf("unrelated path delay changed: %v != %v", got, base)
 	}
+	// Back up spine 1's egress toward the destination leaf: path 1's delay
+	// must rise by exactly that port's drain time.
+	far := n.Spines[1].Port(1)
+	far.SetPaused(fabric.PrioData, true, 0)
+	for i := 0; i < 20; i++ {
+		far.Enqueue(fabric.NewData(9, uint32(i), 1000, 0, 5))
+	}
+	if far.DrainTime() == 0 {
+		t.Fatal("far-leg queue did not back up")
+	}
+	if got, want := view.PathDelay(1, pkt), base+far.DrainTime(); got != want {
+		t.Fatalf("path delay ignored the spine's queue toward the destination: %v, want %v", got, want)
+	}
 }
 
 func TestPathDelayReflectsAsymmetricRate(t *testing.T) {
@@ -152,48 +165,5 @@ func TestMixedRLBTraffic(t *testing.T) {
 	}
 	if n.Drops() != 0 {
 		t.Fatalf("%d drops", n.Drops())
-	}
-}
-
-func TestProbeTelemetry(t *testing.T) {
-	p := tiny()
-	p.ProbeInterval = 20 * sim.Microsecond
-	n := Build(p)
-	// Pause uplink 0 of leaf 0: its data-class probes get stuck while
-	// uplink 1's probes keep returning.
-	up := n.Leaves[0].Port(p.HostsPerLeaf + 0)
-	up.SetPaused(fabric.PrioData, true, 0)
-	n.Run(2 * sim.Millisecond)
-	n.StopRLB()
-	sent, rcvd := n.ProbeStats()
-	if sent == 0 || rcvd == 0 {
-		t.Fatalf("probes sent=%d rcvd=%d", sent, rcvd)
-	}
-	// Paused-uplink probes never return (or are stale on arrival): strictly
-	// fewer receptions than transmissions.
-	if rcvd >= sent {
-		t.Fatalf("expected stuck probes on the paused uplink: sent=%d rcvd=%d", sent, rcvd)
-	}
-	pkt := fabric.NewData(1, 0, 1000, 0, 5)
-	for i := 0; i < p.Spines; i++ {
-		if d := n.views[0].PathDelay(i, pkt); d <= 0 {
-			t.Fatalf("probe path delay %v for uplink %d", d, i)
-		}
-	}
-}
-
-func TestProbeTelemetryFlowsStillComplete(t *testing.T) {
-	p := tiny()
-	p.ProbeInterval = 50 * sim.Microsecond
-	p.LB = lb.NewHermes(1000, 2*p.LinkDelay)
-	n := Build(p)
-	f := n.StartFlow(0, 5, 200*1000)
-	n.Run(10 * sim.Millisecond)
-	n.StopRLB()
-	if !f.Done {
-		t.Fatal("flow incomplete with probe telemetry")
-	}
-	if n.Eng.Pending() != 0 {
-		n.Eng.Run()
 	}
 }

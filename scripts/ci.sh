@@ -17,7 +17,8 @@
 #   7. spec verify — canonical-spec contracts: byte-stable JSON round trips,
 #                    compiler thresholds/fabric params/fault schedules pinned
 #                    to literal values, figure-grid golden, committed
-#                    corpus + repro fixture decode (TESTING.md "Spec
+#                    corpus + repro fixture decode, repro files rejecting
+#                    unknown fields and trailing data (TESTING.md "Spec
 #                    round-trip tier")
 #   8. telemetry   — observation-only contract: fingerprints bit-identical
 #                    with sampling and events on/off, JSONL golden (series
