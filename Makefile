@@ -13,12 +13,14 @@ build:
 test: lint race-short bench-smoke
 	$(GO) test ./...
 
-# Perf smoke: the engine-dispatch zero-alloc assertion plus one quick pass
-# over the engine and port micro-benchmarks. Fails the build if the hot path
-# starts allocating again.
+# Perf smoke: the engine-dispatch and predictor-round zero-alloc assertions
+# plus one quick pass over the engine (typed dispatch, same-instant clusters)
+# and port micro-benchmarks. Fails the build if the hot path starts
+# allocating again.
 bench-smoke:
 	$(GO) test -run 'TestEngineDispatchZeroAlloc' -count=1 ./internal/sim/
-	$(GO) test -run '^$$' -bench 'EngineDispatchTyped|PortPingPong' -benchtime 100x -benchmem ./internal/sim/ ./internal/fabric/
+	$(GO) test -run 'TestTickerRoundZeroAlloc' -count=1 ./internal/core/
+	$(GO) test -run '^$$' -bench 'EngineDispatchTyped|EngineSameInstantCluster|PortPingPong' -benchtime 100x -benchmem ./internal/sim/ ./internal/fabric/
 
 # Telemetry tier (TESTING.md "Telemetry tier"): the observation-only
 # contract in one command — determinism fingerprints bit-identical with

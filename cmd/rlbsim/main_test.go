@@ -137,6 +137,7 @@ func TestSpecOutOfRangeExitsTwo(t *testing.T) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 10, UpAtUs: 100, RateDiv: 20_000_000_000}}
 		}, "fault on link (l0,s1) rateDiv 20000000000: valid range is 0..10000000000"},
 		{"linkDelayNs", func(s *spec.Spec) { s.LinkDelayNs = -5 }, "linkDelayNs -5: need >= 0"},
+		{"loadPct", func(s *spec.Spec) { s.LoadPct = 150 }, "loadPct 150: valid range is 0..100"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := spec.Spec{

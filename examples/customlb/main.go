@@ -52,7 +52,7 @@ func run(withRLB bool) {
 	p.LB = func() lb.Chooser { return coinFlip{} }
 	label := "coinflip"
 	if withRLB {
-		rlb := core.DefaultParams(p.LinkDelay)
+		rlb := core.DefaultParams()
 		p.RLB = &rlb
 		label += "+rlb"
 	}

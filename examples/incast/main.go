@@ -25,7 +25,7 @@ func run(withRLB bool) (*metrics.FlowReport, sim.Time, uint64) {
 	p.Switch.ECNKmax = 40 * 1000
 	p.LB = lb.NewDRILL(2, 1)
 	if withRLB {
-		rlb := core.DefaultParams(p.LinkDelay)
+		rlb := core.DefaultParams()
 		p.RLB = &rlb
 	}
 	net := topo.Build(p)

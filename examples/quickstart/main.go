@@ -26,7 +26,7 @@ func main() {
 
 	// Layer RLB on top: predictors on every switch differentiate ingress
 	// queues and send PFC warnings upstream; leaf agents apply Algorithm 1.
-	rlb := core.DefaultParams(p.LinkDelay)
+	rlb := core.DefaultParams()
 	p.RLB = &rlb
 
 	net := topo.Build(p)

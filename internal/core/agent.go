@@ -87,10 +87,10 @@ type Agent struct {
 }
 
 // NewAgent builds the rerouting module for one leaf switch.
-func NewAgent(base lb.Chooser, params Params, uplinkPortBase, numUplinks int, dstLeafOf func(int) int, linkDelay sim.Time) *Agent {
+func NewAgent(base lb.Chooser, params Params, uplinkPortBase, numUplinks int, dstLeafOf func(int) int) *Agent {
 	a := &Agent{
 		Base:           base,
-		Params:         params.Normalize(linkDelay),
+		Params:         params.Normalize(),
 		UplinkPortBase: uplinkPortBase,
 		NumUplinks:     numUplinks,
 		DstLeafOf:      dstLeafOf,

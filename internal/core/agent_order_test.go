@@ -149,7 +149,7 @@ func (c *committingChooser) Commit(pkt *fabric.Packet, path int) {
 
 func TestAgentCommitsFinalDecision(t *testing.T) {
 	base := &committingChooser{rankedChooser: rankedChooser{order: seq(4)}}
-	a := NewAgent(base, Params{}, 0, 4, func(h int) int { return h / 10 }, 2*sim.Microsecond)
+	a := NewAgent(base, Params{}, 0, 4, func(h int) int { return h / 10 })
 	v := newFakeView(4)
 	warn(a, 0, -1, v.now)
 	d := a.Pick(v, flowPkt(1, 0, 5))

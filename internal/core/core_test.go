@@ -45,7 +45,7 @@ func (r rankedChooser) Choose(v lb.View, pkt *fabric.Packet, exclude lb.PathSet)
 
 func testAgent(n int) *Agent {
 	return NewAgent(rankedChooser{order: seq(n)}, Params{}, 0, n,
-		func(hostID int) int { return hostID / 10 }, 2*sim.Microsecond)
+		func(hostID int) int { return hostID / 10 })
 }
 
 func seq(n int) []int {
@@ -64,12 +64,12 @@ func pkt(dst int) *fabric.Packet { return fabric.NewData(uint32(dst), 0, 1000, 0
 // table-driven boundary suite in qth_table_test.go.
 
 func TestNormalizeFillsDefaults(t *testing.T) {
-	p := Params{}.Normalize(2 * sim.Microsecond)
+	p := Params{}.Normalize()
 	if p.DeltaT != 2*sim.Microsecond || p.MaxRecirc != 8 || p.Trc != sim.Microsecond {
 		t.Fatalf("defaults wrong: %+v", p)
 	}
 	// Explicit values survive.
-	p2 := Params{DeltaT: 5 * sim.Microsecond}.Normalize(2 * sim.Microsecond)
+	p2 := Params{DeltaT: 5 * sim.Microsecond}.Normalize()
 	if p2.DeltaT != 5*sim.Microsecond {
 		t.Fatal("explicit DeltaT overwritten")
 	}

@@ -69,9 +69,8 @@ type Params struct {
 	DisableOrderGuard bool
 }
 
-// DefaultParams returns the paper's suggested settings for a fabric with the
-// given one-hop link delay.
-func DefaultParams(linkDelay sim.Time) Params {
+// DefaultParams returns the paper's suggested settings.
+func DefaultParams() Params {
 	return Params{
 		DeltaT:         2 * sim.Microsecond,
 		QthFraction:    0.3,
@@ -84,8 +83,8 @@ func DefaultParams(linkDelay sim.Time) Params {
 }
 
 // Normalize fills zero fields with defaults.
-func (p Params) Normalize(linkDelay sim.Time) Params {
-	d := DefaultParams(linkDelay)
+func (p Params) Normalize() Params {
+	d := DefaultParams()
 	if p.DeltaT <= 0 {
 		p.DeltaT = d.DeltaT
 	}

@@ -19,6 +19,7 @@ type PredictorStats struct {
 // Predictor is RLB's predicting module (§3.2.1) attached to one switch. It
 // samples the ingress-queue lengths every DeltaT, differentiates them, and
 // sends a CNM out of any ingress port whose queue is about to trigger PFC.
+// A Ticker drives the sampling.
 type Predictor struct {
 	sw     *switchsim.Switch
 	params Params
@@ -38,27 +39,22 @@ type Predictor struct {
 	warnTime sim.Time
 	prev     []int
 	lastWarn []sim.Time
+	// idle records that every monitored queue was empty at the last sample.
+	idle bool
 
-	timer   sim.Timer
-	stopped bool
+	// slot is this predictor's place in the event order for its next
+	// sample, reserved right after the last one (see Ticker).
+	slot sim.Slot
 
 	Stats PredictorStats
 }
 
-// OnEvent implements sim.Handler: one Δt sampling tick.
-func (p *Predictor) OnEvent(sim.EventArg) {
-	if p.stopped {
-		return
-	}
-	p.sample()
-	p.arm()
-}
-
 // NewPredictor attaches a predictor to sw, watching the given ingress ports.
 // linkDelay and the port rate derive the conservative Qth. originDstLeaf
-// scopes the CNMs (-1 for spines). The predictor starts sampling immediately.
+// scopes the CNMs (-1 for spines). The predictor samples once a Ticker
+// drives it.
 func NewPredictor(sw *switchsim.Switch, params Params, monitor []int, originDstLeaf int, linkDelay sim.Time) *Predictor {
-	params = params.Normalize(linkDelay)
+	params = params.Normalize()
 	rate := sw.Port(monitor[0]).Rate
 	p := &Predictor{
 		sw:            sw,
@@ -68,6 +64,7 @@ func NewPredictor(sw *switchsim.Switch, params Params, monitor []int, originDstL
 		qth:           params.Qth(sw.Cfg.PFCThreshold, linkDelay, rate),
 		prev:          make([]int, sw.NumPorts()),
 		lastWarn:      make([]sim.Time, sw.NumPorts()),
+		idle:          true,
 	}
 	// The remaining-time threshold follows §3.2.3's line-rate analysis: a
 	// queue at Qth growing at line rate C reaches QPFC in (QPFC−Qth)/C.
@@ -79,29 +76,24 @@ func NewPredictor(sw *switchsim.Switch, params Params, monitor []int, originDstL
 	for i := range p.lastWarn {
 		p.lastWarn[i] = -sim.Second
 	}
-	p.arm()
 	return p
 }
 
 // QthBytes returns the effective warning threshold.
 func (p *Predictor) QthBytes() int { return p.qth }
 
-// Stop halts sampling (call at end of simulation to drain the event queue).
-func (p *Predictor) Stop() {
-	p.stopped = true
-	p.timer.Stop()
-}
-
-func (p *Predictor) arm() {
-	p.timer = p.sw.Eng.ScheduleAfter(p.params.DeltaT, p, sim.EventArg{})
-}
-
 // sample is one Δt tick: differentiate each monitored ingress queue and warn
 // upstream when PFC triggering is imminent.
 func (p *Predictor) sample() {
 	p.Stats.Samples++
+	if p.idle && p.sw.SharedUsed() == 0 {
+		// Every monitored queue was empty last time and still is: each
+		// port would record a zero derivative and skip.
+		return
+	}
 	now := p.sw.Eng.Now()
 	qPFC := p.sw.Cfg.PFCThreshold
+	p.idle = true
 	for _, port := range p.monitor {
 		q := p.sw.IngressBytes(port)
 		deriv := q - p.prev[port] // bytes per DeltaT
@@ -109,6 +101,7 @@ func (p *Predictor) sample() {
 		if q == 0 {
 			continue
 		}
+		p.idle = false
 		// §3.2.1: compute the remaining time until the queue reaches the PFC
 		// threshold at its current growth rate; warn when that time drops
 		// below the warning-time threshold. The threshold is derived from

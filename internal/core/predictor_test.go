@@ -48,10 +48,11 @@ type predRig struct {
 	up   *recorder // upstream (sender side)
 	down *recorder // downstream (slow sink)
 	pred *Predictor
+	tick *Ticker
 }
 
 // newPredRig builds up --40G--> sw --slow--> down with a predictor on sw
-// watching ingress port 0.
+// watching ingress port 0, driven by its own ticker.
 func newPredRig(cfg switchsim.Config, params Params, slow units.Bandwidth) *predRig {
 	eng := sim.NewEngine()
 	sw := switchsim.New(eng, 100, 2, cfg, rng.New(3))
@@ -63,7 +64,8 @@ func newPredRig(cfg switchsim.Config, params Params, slow units.Bandwidth) *pred
 		return switchsim.Decision{Out: 1}
 	}))
 	pred := NewPredictor(sw, params, []int{0}, -1, 2*sim.Microsecond)
-	return &predRig{eng: eng, sw: sw, up: up, down: down, pred: pred}
+	tick := NewTicker(eng, []*Predictor{pred})
+	return &predRig{eng: eng, sw: sw, up: up, down: down, pred: pred, tick: tick}
 }
 
 func (r *predRig) flood(n int) {
@@ -78,7 +80,7 @@ func TestPredictorWarnsBeforePFC(t *testing.T) {
 	r := newPredRig(cfg, Params{}, 4*units.Gbps)
 	r.flood(300) // 300 KB burst into a 10x slower egress
 	r.eng.RunUntil(5 * sim.Millisecond)
-	r.pred.Stop()
+	r.tick.Stop()
 	if len(r.up.cnmAt) == 0 {
 		t.Fatal("predictor never warned")
 	}
@@ -95,7 +97,7 @@ func TestPredictorQuietWhenUncongested(t *testing.T) {
 	r := newPredRig(cfg, Params{}, 40*units.Gbps) // egress as fast as ingress
 	r.flood(100)
 	r.eng.RunUntil(sim.Millisecond)
-	r.pred.Stop()
+	r.tick.Stop()
 	if len(r.up.cnmAt) != 0 {
 		t.Fatalf("%d spurious warnings on an uncongested path", len(r.up.cnmAt))
 	}
@@ -109,7 +111,7 @@ func TestPredictorDerivativeFiresBeforeStaticThreshold(t *testing.T) {
 	r := newPredRig(cfg, params, 2*units.Gbps)
 	r.flood(200)
 	r.eng.RunUntil(2 * sim.Millisecond)
-	r.pred.Stop()
+	r.tick.Stop()
 	if r.pred.Stats.Predicted == 0 {
 		t.Fatalf("derivative term never fired: %+v", r.pred.Stats)
 	}
@@ -123,7 +125,7 @@ func TestPredictorRateLimitsCNMs(t *testing.T) {
 	r.flood(500)
 	horizon := 2 * sim.Millisecond
 	r.eng.RunUntil(horizon)
-	r.pred.Stop()
+	r.tick.Stop()
 	maxCNMs := uint64(horizon/params.ReWarnInterval) + 2
 	if r.pred.Stats.Warnings > maxCNMs {
 		t.Fatalf("warnings = %d exceed rate limit %d", r.pred.Stats.Warnings, maxCNMs)
@@ -137,7 +139,7 @@ func TestPredictorStopDrainsEventQueue(t *testing.T) {
 	cfg := switchsim.DefaultConfig()
 	r := newPredRig(cfg, Params{}, 40*units.Gbps)
 	r.eng.RunUntil(20 * sim.Microsecond)
-	r.pred.Stop()
+	r.tick.Stop()
 	r.eng.Run() // must terminate: no self-rearming timers left
 	if r.eng.Pending() != 0 {
 		t.Fatalf("%d events still pending after Stop", r.eng.Pending())
@@ -147,7 +149,7 @@ func TestPredictorStopDrainsEventQueue(t *testing.T) {
 func TestPredictorQthExposed(t *testing.T) {
 	cfg := switchsim.DefaultConfig()
 	r := newPredRig(cfg, Params{QthFraction: 0.5}, 40*units.Gbps)
-	defer r.pred.Stop()
+	defer r.tick.Stop()
 	if r.pred.QthBytes() != 128*1000 {
 		t.Fatalf("Qth = %d, want 128000", r.pred.QthBytes())
 	}

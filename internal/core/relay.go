@@ -30,7 +30,7 @@ type Relay struct {
 
 // NewRelay builds the CNM relay for one transit switch.
 func NewRelay(sw *switchsim.Switch, params Params) *Relay {
-	return &Relay{sw: sw, params: params.Normalize(0)}
+	return &Relay{sw: sw, params: params.Normalize()}
 }
 
 // OnControl is installed as the spine switch's control hook.

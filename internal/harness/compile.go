@@ -129,6 +129,9 @@ func validateShape(s spec.Spec) error {
 	if s.DrainUs < 0 || s.MaxFlowKB < 0 || s.LoadPct < 0 {
 		return fmt.Errorf("negative drainUs/maxFlowKB/loadPct")
 	}
+	if s.LoadPct > 100 {
+		return fmt.Errorf("loadPct %d: valid range is 0..100", s.LoadPct)
+	}
 	if s.Telemetry != nil && s.Telemetry.SampleUs < 1 {
 		return fmt.Errorf("telemetry sampleUs %d: need >= 1", s.Telemetry.SampleUs)
 	}

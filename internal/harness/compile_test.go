@@ -183,6 +183,7 @@ func TestCompileValidation(t *testing.T) {
 		{"zero rate", func(s *spec.Spec) { s.LinkGbps = 0 }, "linkGbps"},
 		{"zero duration", func(s *spec.Spec) { s.DurationUs = 0 }, "durationUs"},
 		{"negative load", func(s *spec.Spec) { s.LoadPct = -1 }, "negative"},
+		{"load over 100", func(s *spec.Spec) { s.LoadPct = 150 }, "loadPct 150: valid range is 0..100"},
 		{"no leaves", func(s *spec.Spec) { s.Leaves = 0 }, "fabric"},
 		{"no spines", func(s *spec.Spec) { s.Spines = 0 }, "valid range is 1..64"},
 		{"too many spines", func(s *spec.Spec) { s.Spines = 65 }, "valid range is 1..64"},

@@ -23,7 +23,7 @@ func applyScheme(p *topo.Params, s spec.Spec) error {
 	if !withRLB {
 		return nil
 	}
-	rp := core.DefaultParams(p.LinkDelay)
+	rp := core.DefaultParams()
 	rp.DisableRecirculation = s.NoRecirc
 	if s.QthFracPct > 0 {
 		rp.QthFraction = float64(s.QthFracPct) / 100

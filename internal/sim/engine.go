@@ -93,6 +93,11 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 
+	// cutoff is one past the seq of the event dispatched last while the
+	// clock still stands at its time, and 0 once the clock has moved on: a
+	// slot at the current instant with a seq below cutoff has been passed.
+	cutoff uint64
+
 	// live counts queued events that have not been lazily cancelled; the
 	// scheduler's own length additionally includes dead events awaiting
 	// reclamation.
@@ -105,7 +110,8 @@ type Engine struct {
 	free       []*event
 	gets, puts uint64
 
-	// Executed counts events dispatched so far (for stats and runaway guards).
+	// Executed counts events dispatched so far; harness.Result.Events and
+	// the benchmark's sim.events report it.
 	Executed uint64
 }
 
@@ -146,6 +152,7 @@ func (e *Engine) release(ev *event) {
 	ev.arg = EventArg{}
 	ev.fn = nil
 	e.puts++
+	//simlint:allow(hotpath) the free list never outgrows the event pool, and it keeps its capacity
 	e.free = append(e.free, ev)
 }
 
@@ -163,10 +170,16 @@ func (e *Engine) schedule(t Time) *event {
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	ev := e.alloc()
-	ev.at = t
-	ev.seq = e.seq
+	ev := e.push(t, e.seq)
 	e.seq++
+	return ev
+}
+
+// push queues a pooled event under the key (at, seq).
+func (e *Engine) push(at Time, seq uint64) *event {
+	ev := e.alloc()
+	ev.at = at
+	ev.seq = seq
 	if e.cal != nil {
 		e.cal.push(ev, e.now)
 	} else {
@@ -210,6 +223,65 @@ func (e *Engine) After(d Time, fn func()) Timer {
 	return e.At(e.now+d, fn)
 }
 
+// Slot is a reserved place in the event order: a time and a seq taken from
+// the engine's schedule counter, with nothing queued. An event scheduled into
+// the slot later runs exactly where an event scheduled at reservation time
+// would have run, ahead of everything scheduled for the same instant after
+// the reservation.
+type Slot struct {
+	at  Time
+	seq uint64
+}
+
+// Reserve takes the next seq for time t without queuing anything. Reserving
+// in the past panics, like scheduling there.
+func (e *Engine) Reserve(t Time) Slot {
+	if t < e.now {
+		panic("sim: reserving a slot in the past")
+	}
+	s := Slot{at: t, seq: e.seq}
+	e.seq++
+	return s
+}
+
+// ScheduleSlot runs h.OnEvent(arg) at the exact (at, seq) key of slot s. It
+// panics once the run has dispatched past the key, as scheduling in the past
+// does. Scheduling the same slot twice queues two events with one key, and
+// their relative order is unspecified.
+func (e *Engine) ScheduleSlot(s Slot, h Handler, arg EventArg) Timer {
+	if s.at < e.now || s.at == e.now && s.seq < e.cutoff {
+		panic("sim: scheduling into a passed slot")
+	}
+	ev := e.push(s.at, s.seq)
+	ev.h = h
+	ev.arg = arg
+	return Timer{ev: ev, eng: e, gen: ev.gen}
+}
+
+// QueuedBefore reports whether a live event is queued ahead of slot s, which
+// must be at the current instant. Lazily cancelled events found ahead of the
+// slot are reclaimed on the way, as the run loop would reclaim them.
+func (e *Engine) QueuedBefore(s Slot) bool {
+	if s.at != e.now {
+		panic("sim: QueuedBefore needs a slot at the current instant")
+	}
+	for {
+		var ev *event
+		if e.cal != nil {
+			ev = e.cal.peekNow(e.now)
+		} else {
+			ev = e.sched.peekNow(e.now)
+		}
+		if ev == nil || ev.seq >= s.seq {
+			return false
+		}
+		if !ev.dead {
+			return true
+		}
+		e.release(e.sched.popLE(e.now))
+	}
+}
+
 // Stop halts the run loop after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
 
@@ -244,6 +316,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 		}
 		e.live--
 		e.now = ev.at
+		e.cutoff = ev.seq + 1
 		// Free the slot before dispatching: the handler may immediately
 		// schedule again and reuse it, and its own Timer handle (now stale by
 		// generation) can no longer cancel the reused slot.
@@ -260,6 +333,7 @@ func (e *Engine) RunUntil(limit Time) Time {
 	}
 	if !e.stopped && limit != MaxTime && e.now < limit {
 		e.now = limit
+		e.cutoff = 0
 	}
 	return e.now
 }

@@ -12,9 +12,9 @@ func eventBefore(a, b *event) bool {
 // heapPush and heapPop maintain a binary min-heap over a plain event slice.
 // Hand-rolled (rather than container/heap) to avoid interface boxing on the
 // hot path, and shared between the standalone eventHeap and the calendar
-// queue's per-bucket mini-heaps and overflow heap.
+// queue's overflow heap.
 func heapPush(items []*event, ev *event) []*event {
-	//simlint:allow(hotpath) heap growth is amortized; buckets and the overflow heap retain capacity across events
+	//simlint:allow(hotpath) heap growth is amortized; the heaps retain capacity across events
 	items = append(items, ev)
 	siftUp(items, len(items)-1)
 	return items
@@ -73,6 +73,13 @@ type eventHeap struct {
 func (h *eventHeap) len() int { return len(h.items) }
 
 func (h *eventHeap) push(ev *event, _ Time) { h.items = heapPush(h.items, ev) }
+
+func (h *eventHeap) peekNow(now Time) *event {
+	if len(h.items) == 0 || h.items[0].at != now {
+		return nil
+	}
+	return h.items[0]
+}
 
 func (h *eventHeap) popLE(limit Time) *event {
 	if len(h.items) == 0 || h.items[0].at > limit {

@@ -9,8 +9,8 @@ type SchedulerKind int
 
 const (
 	// SchedCalendar is the hierarchical calendar queue (default): a timing
-	// wheel of (at, seq)-ordered mini-heap buckets with a binary-heap
-	// overflow for events beyond the wheel horizon.
+	// wheel of (at, seq)-ordered bucket runs with a binary-heap overflow for
+	// events beyond the wheel horizon.
 	SchedCalendar SchedulerKind = iota
 	// SchedHeap is the single binary min-heap, kept as the reference
 	// implementation for A/B debugging and the equivalence property test.
@@ -37,6 +37,9 @@ type scheduler interface {
 	// most limit; it returns nil without dequeuing when the queue is empty
 	// or the earliest event lies beyond limit.
 	popLE(limit Time) *event
+	// peekNow returns the earliest queued event iff it is due at now, the
+	// engine clock; every queued event is due at or after now.
+	peekNow(now Time) *event
 	// len counts queued events, including dead (lazily cancelled) ones that
 	// have not been reclaimed yet.
 	len() int
@@ -55,24 +58,21 @@ func newCalendarQueue() *calendarQueue {
 	// allocation, instead of cwBuckets separate ones per engine (figure runs
 	// build an engine per simulation, so setup allocations multiply).
 	// Buckets that outgrow their slab segment migrate out through append's
-	// usual growth; with occupancy tuned near one event per bucket, almost
-	// none do.
+	// usual growth and keep the larger capacity.
 	const slabCap = 4
 	slab := make([]*event, cwBuckets*slabCap)
 	for i := range cq.buckets {
-		cq.buckets[i] = slab[i*slabCap : i*slabCap : (i+1)*slabCap]
+		cq.buckets[i].evs = slab[i*slabCap : i*slabCap : (i+1)*slabCap]
 	}
 	return cq
 }
 
-// Calendar-queue geometry. Bucket width is sized for bucket occupancy near
-// one, where the per-bucket mini-heaps degenerate into plain appends and
-// pops with no comparisons: a simulated fabric keeps roughly one pending
-// event per port, so with ~100 ports emitting a frame every ~1.2 µs
-// (1500 B at 10 Gb/s) the queue holds about one event per 15 ns — a 2^14 ps
-// ≈ 16.4 ns bucket. 2048 buckets span ≈ 33.6 µs, covering link delays,
-// serialization times, and most pacer gaps; only RTO-class timers and
-// deeply throttled pacers overflow.
+// Calendar-queue geometry. 2^14 ps ≈ 16.4 ns buckets, 2048 of them, span
+// ≈ 33.6 µs: link delays, serialization times and most pacer gaps land on
+// the wheel; only RTO-class timers and deeply throttled pacers overflow.
+// Occupancy is far from one event per bucket (DESIGN.md "Event scheduler"
+// has the census), which is why buckets are ordered runs rather than heaps.
+// A wider wheel would spread events thinner at the cost of peak RSS.
 const (
 	cwLogWidth = 14
 	cwBuckets  = 2048
@@ -81,8 +81,49 @@ const (
 	cwSpan     = Time(cwBuckets) << cwLogWidth
 )
 
+// bucket is one wheel bucket: evs[head:] holds its events in (at, seq)
+// order. Pops advance head; a drained bucket resets to empty, so
+// len(evs) == 0 exactly when the bucket holds nothing.
+type bucket struct {
+	evs  []*event
+	head int
+}
+
+// insert places ev in (at, seq) order by scanning back from the tail. Pushes
+// arrive mostly in order (a new event is rarely earlier than the bucket's
+// latest), so the scan usually stops at once, where a heap would sift.
+func (b *bucket) insert(ev *event) {
+	if len(b.evs) == cap(b.evs) && b.head > 0 {
+		// Reuse the popped prefix before growing.
+		n := copy(b.evs, b.evs[b.head:])
+		b.evs = b.evs[:n]
+		b.head = 0
+	}
+	//simlint:allow(hotpath) bucket growth is amortized; buckets retain capacity across events
+	b.evs = append(b.evs, ev)
+	i := len(b.evs) - 1
+	for i > b.head && eventBefore(ev, b.evs[i-1]) {
+		b.evs[i] = b.evs[i-1]
+		i--
+	}
+	b.evs[i] = ev
+}
+
+// pop removes and returns the head event; the caller guarantees the bucket
+// is non-empty.
+func (b *bucket) pop() *event {
+	ev := b.evs[b.head]
+	b.evs[b.head] = nil
+	b.head++
+	if b.head == len(b.evs) {
+		b.evs = b.evs[:0]
+		b.head = 0
+	}
+	return ev
+}
+
 // calendarQueue is a hierarchical timing wheel: cwBuckets buckets of width
-// cwWidth, each an (at, seq) mini-heap, plus a binary-heap overflow for
+// cwWidth, each an (at, seq)-ordered run, plus a binary-heap overflow for
 // events at or beyond the wheel horizon. A bitmap marks occupied buckets so
 // the cursor can skip empty ones a word at a time.
 //
@@ -97,7 +138,7 @@ const (
 //     cur, whose bit may be stale-set while it drains; advanceToward clears
 //     it on entry, so occupancy scans never see a false positive.
 type calendarQueue struct {
-	buckets  [cwBuckets][]*event
+	buckets  [cwBuckets]bucket
 	bitmap   [cwBuckets / 64]uint64
 	start    Time // window start of buckets[cur], cwWidth-aligned
 	cur      int
@@ -127,25 +168,51 @@ func (cq *calendarQueue) push(ev *event, now Time) {
 		cq.overflow = heapPush(cq.overflow, ev)
 		return
 	}
+	cq.wheelPush(ev)
+}
+
+func (cq *calendarQueue) wheelPush(ev *event) {
 	i := cq.slot(ev.at)
-	cq.buckets[i] = heapPush(cq.buckets[i], ev)
+	cq.buckets[i].insert(ev)
 	cq.setBit(i)
 	cq.count++
 }
 
 func (cq *calendarQueue) popLE(limit Time) *event {
-	for len(cq.buckets[cq.cur]) == 0 {
+	for len(cq.buckets[cq.cur].evs) == 0 {
 		if !cq.advanceToward(limit) {
 			return nil
 		}
 	}
-	b := cq.buckets[cq.cur]
-	if b[0].at > limit {
+	b := &cq.buckets[cq.cur]
+	if b.evs[b.head].at > limit {
 		return nil
 	}
-	var ev *event
-	cq.buckets[cq.cur], ev = heapPop(b)
 	cq.count--
+	return b.pop()
+}
+
+// peekNow looks where an event due at now must sit: past the wheel horizon
+// the wheel is empty (every queued event is due at or after now) and the
+// overflow heap holds the minimum; otherwise it is the head of now's bucket,
+// which covers the one window of the wheel lap that contains now.
+func (cq *calendarQueue) peekNow(now Time) *event {
+	var ev *event
+	if now-cq.start >= cwSpan {
+		if len(cq.overflow) == 0 {
+			return nil
+		}
+		ev = cq.overflow[0]
+	} else {
+		b := &cq.buckets[cq.slot(now)]
+		if len(b.evs) == 0 {
+			return nil
+		}
+		ev = b.evs[b.head]
+	}
+	if ev.at != now {
+		return nil
+	}
 	return ev
 }
 
@@ -184,7 +251,7 @@ func (cq *calendarQueue) advanceToward(limit Time) bool {
 		cq.start = next
 		cq.cur = (cq.cur + d) & cwMask
 		cq.migrate()
-		if len(cq.buckets[cq.cur]) > 0 {
+		if len(cq.buckets[cq.cur].evs) > 0 {
 			return true
 		}
 		// Stopped at the migration boundary and nothing migrated into this
@@ -200,10 +267,7 @@ func (cq *calendarQueue) migrate() {
 	for len(cq.overflow) > 0 && cq.overflow[0].at-cq.start < cwSpan {
 		var ev *event
 		cq.overflow, ev = heapPop(cq.overflow)
-		i := cq.slot(ev.at)
-		cq.buckets[i] = heapPush(cq.buckets[i], ev)
-		cq.setBit(i)
-		cq.count++
+		cq.wheelPush(ev)
 	}
 }
 

@@ -81,6 +81,190 @@ func TestSchedulerEquivalence(t *testing.T) {
 	}
 }
 
+// firing is one dispatched (at, seq) key.
+type firing struct {
+	at  Time
+	seq uint64
+}
+
+// keyLog records the (at, seq) key of every fire. Each event carries its own
+// seq in EventArg.U64, read from the engine's counter when it is scheduled.
+type keyLog struct {
+	eng  *Engine
+	keys []firing
+}
+
+func (l *keyLog) OnEvent(arg EventArg) { l.keys = append(l.keys, firing{l.eng.Now(), arg.U64}) }
+
+// add schedules one logged event at t.
+func (l *keyLog) add(t Time) Timer { return l.eng.Schedule(t, l, EventArg{U64: l.eng.seq}) }
+
+// slotGroup is a ticker in miniature: slots reserved for one instant, each
+// "sampled" in seq order by one handler that yields, by queuing itself into
+// the next slot, whenever another event is queued ahead of that slot.
+type slotGroup struct {
+	log    *keyLog
+	slots  []Slot
+	next   int
+	yields int
+}
+
+func (g *slotGroup) OnEvent(EventArg) {
+	e := g.log.eng
+	for i := g.next; i < len(g.slots); i++ {
+		s := g.slots[i]
+		if i > g.next && e.QueuedBefore(s) {
+			g.next = i
+			g.yields++
+			e.ScheduleSlot(s, g, EventArg{})
+			return
+		}
+		g.log.keys = append(g.log.keys, firing{e.Now(), s.seq})
+		// Work a sample triggers at its own instant queues behind every
+		// slot reserved earlier.
+		g.log.add(e.Now())
+	}
+}
+
+// driveSlots runs a seeded workload aimed at the ordered bucket runs and at
+// reserved slots: same-instant clusters of 64 to 96 events, pushes in random
+// order into one bucket ahead of the cursor, slots reserved early and
+// scheduled into later, and slot groups whose events interleave with plain
+// events at the same instant (some lazily cancelled), so the group yields at
+// the current instant. It returns every dispatched key in order and the
+// number of yields.
+func driveSlots(kind SchedulerKind, seed int64) ([]firing, int) {
+	r := rand.New(rand.NewSource(seed))
+	e := NewEngineWith(kind)
+	log := &keyLog{eng: e}
+	var parked []Slot
+	yields := 0
+	var groups []*slotGroup
+	ahead := func() Time {
+		switch r.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return Time(r.Intn(int(cwWidth)))
+		case 2:
+			return Time(r.Intn(int(cwSpan)))
+		default:
+			return Time(r.Intn(int(4 * cwSpan)))
+		}
+	}
+	for op := 0; op < 600; op++ {
+		switch r.Intn(7) {
+		case 0: // same-instant cluster
+			at := e.Now() + ahead()
+			for k := 0; k < 64+r.Intn(33); k++ {
+				log.add(at)
+			}
+		case 1: // random-order pushes into one bucket ahead of the cursor
+			base := (e.Now()/cwWidth + 1 + Time(r.Intn(4))) * cwWidth
+			for k := 0; k < 8+r.Intn(40); k++ {
+				log.add(base + Time(r.Intn(int(cwWidth))))
+			}
+		case 2: // reserve a slot now, schedule into it later
+			parked = append(parked, e.Reserve(e.Now()+ahead()))
+		case 3: // schedule a parked slot the run has not reached
+			for i, s := range parked {
+				if s.at > e.Now() {
+					e.ScheduleSlot(s, log, EventArg{U64: s.seq})
+					parked = append(parked[:i], parked[i+1:]...)
+					break
+				}
+			}
+		case 4: // slot group interleaved with plain events at its instant
+			at := e.Now() + ahead()
+			g := &slotGroup{log: log}
+			for k := 0; k < 2+r.Intn(6); k++ {
+				g.slots = append(g.slots, e.Reserve(at))
+				for j := r.Intn(3); j > 0; j-- {
+					if tm := log.add(at); r.Intn(3) == 0 {
+						tm.Stop()
+					}
+				}
+			}
+			e.ScheduleSlot(g.slots[0], g, EventArg{})
+			groups = append(groups, g)
+		case 5:
+			e.RunUntil(e.Now() + ahead())
+		case 6:
+			if r.Intn(8) == 0 {
+				e.Run()
+			}
+		}
+	}
+	e.Run()
+	for _, g := range groups {
+		yields += g.yields
+	}
+	return log.keys, yields
+}
+
+// TestSchedulerSlotEquivalence extends the equivalence property to the
+// calendar's ordered bucket runs and to reserved slots: both schedulers must
+// dispatch identical (at, seq) sequences, and that sequence must be strictly
+// increasing, since every event pushed or scheduled into a slot keys after
+// the one being dispatched.
+func TestSchedulerSlotEquivalence(t *testing.T) {
+	totalYields := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		hLog, hYields := driveSlots(SchedHeap, seed)
+		cLog, cYields := driveSlots(SchedCalendar, seed)
+		if len(hLog) != len(cLog) || hYields != cYields {
+			t.Fatalf("seed %d: heap fired %d keys with %d yields, calendar %d with %d",
+				seed, len(hLog), hYields, len(cLog), cYields)
+		}
+		for i := range hLog {
+			if hLog[i] != cLog[i] {
+				t.Fatalf("seed %d: dispatch order diverged at %d: heap %+v, calendar %+v", seed, i, hLog[i], cLog[i])
+			}
+			if i > 0 {
+				prev, cur := cLog[i-1], cLog[i]
+				if cur.at < prev.at || cur.at == prev.at && cur.seq <= prev.seq {
+					t.Fatalf("seed %d: key %+v dispatched after %+v", seed, cur, prev)
+				}
+			}
+		}
+		totalYields += cYields
+	}
+	if totalYields == 0 {
+		t.Fatal("no slot group ever yielded; the workload misses the current-instant case")
+	}
+}
+
+// TestScheduleSlotPanicsOncePassed pins the slot contract: scheduling into a
+// slot the run has dispatched past panics, as scheduling in the past does,
+// while a slot still ahead at the current instant is accepted.
+func TestScheduleSlotPanicsOncePassed(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	var h nopHandler
+	a, b, c := e.Reserve(10), e.Reserve(10), e.Reserve(10)
+	e.ScheduleSlot(b, handlerFunc(func(EventArg) {
+		mustPanic("earlier slot at the current instant", func() { e.ScheduleSlot(a, h, EventArg{}) })
+		mustPanic("the dispatching slot itself", func() { e.ScheduleSlot(b, h, EventArg{}) })
+		e.ScheduleSlot(c, h, EventArg{}) // still ahead: must not panic
+	}), EventArg{})
+	e.RunUntil(20)
+	if e.Pending() != 0 || e.Now() != 20 {
+		t.Fatalf("Pending = %d, Now = %v after the run", e.Pending(), e.Now())
+	}
+	mustPanic("slot before the clock", func() { e.ScheduleSlot(c, h, EventArg{}) })
+	mustPanic("reserve before the clock", func() { e.Reserve(19) })
+	e.ScheduleSlot(e.Reserve(20), h, EventArg{}) // the clock stands at 20, nothing ran there
+	e.Run()
+}
+
 // TestCalendarFarFutureRollover pins the overflow path directly: events
 // beyond the wheel horizon migrate onto the wheel in order as the cursor
 // rolls, and FIFO among same-instant overflow events survives migration.
@@ -207,4 +391,36 @@ func BenchmarkEngineBucketRollover(b *testing.B) {
 		}
 	}
 	e.Run()
+}
+
+// BenchmarkEngineSameInstantCluster drives clusters of 64 events due at one
+// instant, the shape of a synchronized incast or of every port reacting to
+// one PAUSE: each cluster is pushed 2 µs ahead while the clusters before it
+// drain, so about 20 clusters of one bucket each stay queued. One op is one
+// event scheduled and dispatched; it must stay 0 allocs/op once warm. The
+// heap sub-benchmark is the reference scheduler on the same load.
+func BenchmarkEngineSameInstantCluster(b *testing.B) {
+	for _, kind := range []SchedulerKind{SchedCalendar, SchedHeap} {
+		b.Run(kind.String(), func(b *testing.B) {
+			e := NewEngineWith(kind)
+			var h nopHandler
+			var at Time
+			push := func(i int) {
+				if i%64 == 0 {
+					e.RunUntil(e.Now() + 100*Nanosecond)
+					at = e.Now() + 2*Microsecond
+				}
+				e.Schedule(at, h, EventArg{})
+			}
+			for i := 0; i < 64*64; i++ {
+				push(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				push(i)
+			}
+			e.Run()
+		})
+	}
 }

@@ -93,7 +93,7 @@ func TestFaultKindString(t *testing.T) {
 
 func TestFailLinkNotifiesAgents(t *testing.T) {
 	p := tiny()
-	rlb := core.DefaultParams(p.LinkDelay)
+	rlb := core.DefaultParams()
 	p.RLB = &rlb
 	p.LB = lb.NewDRILL(2, 1)
 	n := Build(p)

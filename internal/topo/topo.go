@@ -81,10 +81,12 @@ type Network struct {
 	Leaves []*switchsim.Switch
 	Spines []*switchsim.Switch
 
-	// RLB deployment (nil entries when RLB is off).
+	// RLB deployment (nil entries when RLB is off). Ticker drives the
+	// predictors, in this order.
 	Agents     []*core.Agent
 	Predictors []*core.Predictor
 	Relays     []*core.Relay
+	Ticker     *core.Ticker
 
 	// Flows lists every flow started through StartFlow.
 	Flows []*transport.Flow
@@ -191,8 +193,8 @@ func Build(p Params) *Network {
 		var policy lb.Policy
 		var trc sim.Time
 		if p.RLB != nil {
-			params := p.RLB.Normalize(p.LinkDelay)
-			agent := core.NewAgent(base, params, p.HostsPerLeaf, p.Spines, n.LeafOf, p.LinkDelay)
+			params := p.RLB.Normalize()
+			agent := core.NewAgent(base, params, p.HostsPerLeaf, p.Spines, n.LeafOf)
 			n.Agents[l] = agent
 			policy = agent
 			trc = params.Trc
@@ -213,7 +215,7 @@ func Build(p Params) *Network {
 
 	// RLB predictors and relays.
 	if p.RLB != nil {
-		params := p.RLB.Normalize(p.LinkDelay)
+		params := p.RLB.Normalize()
 		for l := 0; l < p.Leaves; l++ {
 			// Leaves watch their fabric-facing ingress ports: congestion
 			// there means this leaf is about to pause the spines.
@@ -233,6 +235,7 @@ func Build(p Params) *Network {
 			n.Relays = append(n.Relays, relay)
 			n.Spines[s].OnControl = relay.OnControl
 		}
+		n.Ticker = core.NewTicker(eng, n.Predictors)
 	}
 	return n
 }
@@ -280,8 +283,8 @@ func (n *Network) SprayFlow(f *transport.Flow, k int) {
 // StopRLB halts the RLB predictors' periodic sampling so the event queue can
 // drain.
 func (n *Network) StopRLB() {
-	for _, p := range n.Predictors {
-		p.Stop()
+	if n.Ticker != nil {
+		n.Ticker.Stop()
 	}
 }
 

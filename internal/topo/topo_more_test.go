@@ -130,7 +130,7 @@ func TestRLBDisabledHasNoAgents(t *testing.T) {
 
 func TestStopRLBDrainsEvents(t *testing.T) {
 	p := tiny()
-	rlb := core.DefaultParams(p.LinkDelay)
+	rlb := core.DefaultParams()
 	p.RLB = &rlb
 	n := Build(p)
 	n.StartFlow(0, 5, 50*1000)
@@ -147,7 +147,7 @@ func TestMixedRLBTraffic(t *testing.T) {
 	// completes everything.
 	p := tiny()
 	p.Switch.PFCThreshold = 24 * 1000
-	rlb := core.DefaultParams(p.LinkDelay)
+	rlb := core.DefaultParams()
 	p.RLB = &rlb
 	p.LB = lb.NewPresto(64*1000, 1000)
 	n := Build(p)

@@ -141,7 +141,7 @@ func TestSprayFlowUsesKUplinks(t *testing.T) {
 
 func TestRLBDeployment(t *testing.T) {
 	p := tiny()
-	rlb := core.DefaultParams(p.LinkDelay)
+	rlb := core.DefaultParams()
 	p.RLB = &rlb
 	p.LB = lb.NewDRILL(2, 1)
 	n := Build(p)
@@ -162,7 +162,7 @@ func TestRLBDeployment(t *testing.T) {
 func TestRLBWarningsFlowUnderCongestion(t *testing.T) {
 	p := tiny()
 	p.Switch.PFCThreshold = 40 * 1000
-	rlb := core.DefaultParams(p.LinkDelay)
+	rlb := core.DefaultParams()
 	p.RLB = &rlb
 	p.LB = lb.NewPresto(64*1000, 1000)
 	n := Build(p)
