@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test short race race-short vet fmt-check lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden results results-verify bench bench-smoke examples fuzz-smoke fuzz cover clean ci
+.PHONY: all build test short race race-short vet fmt-check lint simlint golden grids-golden spec-verify telemetry-verify telemetry-golden results results-verify bench bench-smoke examples fuzz-smoke fuzz cover loc clean ci
 
 all: build lint test
 
@@ -56,6 +56,11 @@ fuzz:
 cover:
 	$(GO) test -coverprofile=coverage.out ./internal/...
 	$(GO) tool cover -func=coverage.out | tail -1
+
+# Line count of the tracked non-test Go source outside testdata/, the size
+# measure a simplicity change quotes (see TESTING.md).
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v /testdata/ | xargs cat | wc -l
 
 # Quick iteration loop: skips the bench-scale golden run.
 short:

@@ -42,18 +42,7 @@ func runTimeseries(path string, interval time.Duration, scale harness.Scale, see
 	res := harness.Run(cfg)
 	rec := res.Telemetry
 
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "figures:", err)
-		return 2
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		err = telemetry.WriteCSV(f, rec)
-	} else {
-		err = telemetry.WriteJSONL(f, rec)
-	}
-	if err != nil {
+	if err := telemetry.WriteFile(path, rec); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		return 2
 	}

@@ -289,7 +289,7 @@ func main() {
 			a.PicksTotal, a.PicksWarned, a.Reroutes, a.Recircs, a.OrderRecircs, a.DivertSticky, a.OrderStays, a.StayCheaper, a.Fallbacks)
 	}
 	if *telemetryOut != "" {
-		if err := writeTelemetry(*telemetryOut, res.Telemetry); err != nil {
+		if err := telemetry.WriteFile(*telemetryOut, res.Telemetry); err != nil {
 			fmt.Fprintln(os.Stderr, "rlbsim:", err)
 			os.Exit(2)
 		}
@@ -327,23 +327,6 @@ func printTrace(rec *telemetry.Recording, n int) {
 	for _, ev := range last {
 		fmt.Println(ev)
 	}
-}
-
-// writeTelemetry writes a recording to path, choosing the format from the
-// extension (.csv = wide CSV, anything else = JSONL).
-func writeTelemetry(path string, rec *telemetry.Recording) error {
-	if rec == nil {
-		return fmt.Errorf("telemetry: run produced no recording")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return telemetry.WriteCSV(f, rec)
-	}
-	return telemetry.WriteJSONL(f, rec)
 }
 
 // printAveraged runs the spec at n seed offsets through the same averaging

@@ -129,15 +129,39 @@ func TestSpecOutOfRangeExitsTwo(t *testing.T) {
 		}, "incastClient 99: valid range is 0..3"},
 		{"incastAtUs", func(s *spec.Spec) {
 			s.IncastDegree, s.IncastKB, s.IncastAtUs = 2, 40, -5
-		}, "incastAtUs -5: need >= 0"},
+		}, "incastAtUs -5: valid range is 0..9223372036854"},
 		{"downAtUs", func(s *spec.Spec) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: -10, UpAtUs: 100}}
-		}, "downAtUs -10: need >= 0"},
+		}, "downAtUs -10: valid range is 0..9223372036854"},
 		{"rateDiv", func(s *spec.Spec) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 10, UpAtUs: 100, RateDiv: 20_000_000_000}}
 		}, "fault on link (l0,s1) rateDiv 20000000000: valid range is 0..10000000000"},
-		{"linkDelayNs", func(s *spec.Spec) { s.LinkDelayNs = -5 }, "linkDelayNs -5: need >= 0"},
+		{"linkDelayNs", func(s *spec.Spec) { s.LinkDelayNs = -5 }, "linkDelayNs -5: valid range is 0..9223372036854775"},
 		{"loadPct", func(s *spec.Spec) { s.LoadPct = 150 }, "loadPct 150: valid range is 0..100"},
+		{"linkGbps", func(s *spec.Spec) { s.LinkGbps = 10_000_000_000 }, "linkGbps 10000000000: valid range is 1..512000"},
+		{"linkDelayNs past MaxTime", func(s *spec.Spec) {
+			s.LinkDelayNs = 9_300_000_000_000_000
+		}, "linkDelayNs 9300000000000000: valid range is 0..9223372036854775"},
+		{"incastAtUs past MaxTime", func(s *spec.Spec) {
+			s.IncastDegree, s.IncastKB, s.IncastAtUs = 2, 40, 9_300_000_000_000
+		}, "incastAtUs 9300000000000: valid range is 0..9223372036854"},
+		{"downAtUs past MaxTime", func(s *spec.Spec) {
+			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 9_300_000_000_000}}
+		}, "downAtUs 9300000000000: valid range is 0..9223372036854"},
+		{"upAtUs past MaxTime", func(s *spec.Spec) {
+			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 10, UpAtUs: 9_300_000_000_000}}
+		}, "upAtUs 9300000000000: need <= 9223372036854"},
+		{"durationUs", func(s *spec.Spec) { s.DurationUs = 10_000_000_000_000 }, "durationUs 10000000000000: valid range is 1..9223372036854"},
+		{"drainUs", func(s *spec.Spec) { s.DrainUs = 9_300_000_000_000 }, "drainUs 9300000000000: valid range is 0..9223372036854"},
+		{"durationUs+drainUs", func(s *spec.Spec) {
+			s.DurationUs, s.DrainUs = 9_223_372_036_854, 1
+		}, "durationUs + drainUs 9223372036855: valid range is 1..9223372036854"},
+		{"deltaTNs", func(s *spec.Spec) {
+			s.Scheme, s.DeltaTNs = "drill+rlb", 9_300_000_000_000_000
+		}, "deltaTNs 9300000000000000: valid range is 0..9223372036854775"},
+		{"sampleUs", func(s *spec.Spec) {
+			s.Telemetry = &spec.TelemetrySpec{SampleUs: 9_300_000_000_000}
+		}, "telemetry sampleUs 9300000000000: valid range is 1..9223372036854"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			s := spec.Spec{

@@ -42,10 +42,6 @@ type Predictor struct {
 	// idle records that every monitored queue was empty at the last sample.
 	idle bool
 
-	// slot is this predictor's place in the event order for its next
-	// sample, reserved right after the last one (see Ticker).
-	slot sim.Slot
-
 	Stats PredictorStats
 }
 

@@ -46,8 +46,7 @@ func heldRig(t testing.TB) (*sim.Engine, *Ticker, []*Predictor) {
 
 // TestTickerRoundZeroAlloc is the bench-smoke assertion for the predicting
 // module: one Δt round — a sample with the per-port loop, a sample that
-// skips it, both slot reservations and the round's event — allocates
-// nothing.
+// skips it and the round's re-armed event — allocates nothing.
 func TestTickerRoundZeroAlloc(t *testing.T) {
 	eng, tick, preds := heldRig(t)
 	before := tick.Stats.Rounds
@@ -77,8 +76,8 @@ func TestTickerSamplesEveryPredictorEachRound(t *testing.T) {
 	eng, tick, preds := heldRig(t)
 	eng.RunUntil(eng.Now() + 20*sim.Microsecond)
 	tick.Stop()
-	if tick.Stats.Rounds == 0 || tick.Stats.Yields != 0 {
-		t.Fatalf("stats %+v, want rounds and no yields", tick.Stats)
+	if tick.Stats.Rounds == 0 {
+		t.Fatal("no round ran")
 	}
 	for i, p := range preds {
 		if p.Stats.Samples != tick.Stats.Rounds {
@@ -107,16 +106,14 @@ func (d *cnmProbe) Receive(pkt *fabric.Packet, in *fabric.Port) {
 	}
 }
 
-// TestTickerYieldsToEventAheadOfSlot pins where a round yields. The second
-// predictor's switch holds data above its PFC threshold behind a stuck
-// egress, so it warns every ReWarnInterval, and its CNM needs exactly Δt to
-// reach the upstream device (64 ns at 8 Gb/s plus 1936 ns). Sent during a
-// round after the first predictor reserved its next slot, the CNM arrives at
-// the next round's instant queued between the two predictors' slots. With
-// one timer per predictor it lands after the first predictor's sample and
-// before the second's; the ticker must reproduce that, where a round that
-// never yields would sample both first.
-func TestTickerYieldsToEventAheadOfSlot(t *testing.T) {
+// TestTickerRunsAfterEventsQueuedForItsInstant pins the round's tie-break.
+// The second predictor's switch holds data above its PFC threshold behind a
+// stuck egress, so it warns every ReWarnInterval, and its CNM needs exactly
+// Δt to reach the upstream device (64 ns at 8 Gb/s plus 1936 ns). Sent during
+// a round, the CNM is queued for the next round's instant before that round
+// re-arms, so it arrives ahead of the round: both predictors have sampled
+// Now/Δt − 1 times.
+func TestTickerRunsAfterEventsQueuedForItsInstant(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := switchsim.DefaultConfig()
 	cfg.PFCThreshold = 50 * 1000
@@ -138,20 +135,22 @@ func TestTickerYieldsToEventAheadOfSlot(t *testing.T) {
 	first := NewPredictor(idleSw, Params{}, []int{0}, -1, 2*sim.Microsecond)
 	second := NewPredictor(sw, Params{}, []int{0}, -1, 2*sim.Microsecond)
 	tick := NewTicker(eng, []*Predictor{first, second})
+	deltaT := first.params.DeltaT
 	cnms := 0
 	up.onCNM = func() {
 		cnms++
-		if eng.Now()%(2*sim.Microsecond) != 0 {
+		if eng.Now()%deltaT != 0 {
 			t.Fatalf("CNM at %v, off the round grid", eng.Now())
 		}
-		if first.Stats.Samples != second.Stats.Samples+1 {
-			t.Fatalf("CNM at %v saw %d and %d samples; want it between the two predictors' samples",
-				eng.Now(), first.Stats.Samples, second.Stats.Samples)
+		want := uint64(eng.Now()/deltaT) - 1
+		if first.Stats.Samples != want || second.Stats.Samples != want {
+			t.Fatalf("CNM at %v saw %d and %d samples; want %d each, before the round",
+				eng.Now(), first.Stats.Samples, second.Stats.Samples, want)
 		}
 	}
 	eng.RunUntil(500 * sim.Microsecond)
 	tick.Stop()
-	if cnms < 10 || tick.Stats.Yields != uint64(cnms) {
-		t.Fatalf("%d CNMs, %d yields; want one yield per CNM and at least 10", cnms, tick.Stats.Yields)
+	if cnms < 10 {
+		t.Fatalf("%d CNMs, want at least 10", cnms)
 	}
 }

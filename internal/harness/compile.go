@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"github.com/rlb-project/rlb/internal/fabric"
 	"github.com/rlb-project/rlb/internal/rng"
 	"github.com/rlb-project/rlb/internal/sim"
 	"github.com/rlb-project/rlb/internal/spec"
@@ -115,35 +116,51 @@ func MustCompile(s spec.Spec) RunConfig {
 	return cfg
 }
 
-// validateShape checks the fields every kind shares.
-func validateShape(s spec.Spec) error {
-	if s.LinkGbps < 1 {
-		return fmt.Errorf("linkGbps %d: need >= 1", s.LinkGbps)
-	}
-	if s.LinkDelayNs < 0 {
-		return fmt.Errorf("linkDelayNs %d: need >= 0", s.LinkDelayNs)
-	}
-	if s.DurationUs <= 0 {
-		return fmt.Errorf("durationUs %d: need > 0", s.DurationUs)
-	}
-	if s.DrainUs < 0 || s.MaxFlowKB < 0 || s.LoadPct < 0 {
-		return fmt.Errorf("negative drainUs/maxFlowKB/loadPct")
-	}
-	if s.LoadPct > 100 {
-		return fmt.Errorf("loadPct %d: valid range is 0..100", s.LoadPct)
-	}
-	if s.Telemetry != nil && s.Telemetry.SampleUs < 1 {
-		return fmt.Errorf("telemetry sampleUs %d: need >= 1", s.Telemetry.SampleUs)
+// Spec limits that keep every time and rate inside the simulator's int64
+// units. maxUs and maxNs are sim.MaxTime in whole microseconds and
+// nanoseconds. maxLinkGbps is the fastest rate at which a control frame
+// still takes at least 1 ps to serialize (1 bit/ps is 1000 Gb/s), since
+// units.TxTime truncates to whole picoseconds.
+const (
+	maxUs       = int(sim.MaxTime / sim.Microsecond)
+	maxNs       = int(sim.MaxTime / sim.Nanosecond)
+	maxLinkGbps = fabric.ControlFrameSize * 8 * 1000
+)
+
+// checkRange rejects a field value outside lo..hi, naming the range.
+func checkRange(field string, v, lo, hi int) error {
+	if v < lo || v > hi {
+		return fmt.Errorf("%s %d: valid range is %d..%d", field, v, lo, hi)
 	}
 	return nil
 }
 
-// checkSpines rejects a spine count topo.Build would refuse.
-func checkSpines(field string, n int) error {
-	if n < 1 || n > topo.MaxSpines {
-		return fmt.Errorf("%s %d: valid range is 1..%d", field, n, topo.MaxSpines)
+// validateShape checks the fields every kind shares.
+func validateShape(s spec.Spec) error {
+	sampleUs := 1
+	if s.Telemetry != nil {
+		sampleUs = s.Telemetry.SampleUs
 	}
-	return nil
+	for _, f := range []struct {
+		field     string
+		v, lo, hi int
+	}{
+		{"linkGbps", s.LinkGbps, 1, maxLinkGbps},
+		{"linkDelayNs", s.LinkDelayNs, 0, maxNs},
+		{"deltaTNs", s.DeltaTNs, 0, maxNs},
+		{"durationUs", s.DurationUs, 1, maxUs},
+		{"drainUs", s.DrainUs, 0, maxUs},
+		{"durationUs + drainUs", s.DurationUs + s.DrainUs, 1, maxUs},
+		{"telemetry sampleUs", sampleUs, 1, maxUs},
+	} {
+		if err := checkRange(f.field, f.v, f.lo, f.hi); err != nil {
+			return err
+		}
+	}
+	if s.MaxFlowKB < 0 || s.LoadPct < 0 {
+		return fmt.Errorf("negative maxFlowKB/loadPct")
+	}
+	return checkRange("loadPct", s.LoadPct, 0, 100)
 }
 
 // specTelemetry returns the spec's sampling interval (0 = telemetry off).
@@ -163,11 +180,11 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 		return RunConfig{}, fmt.Errorf("fabric %dx%d/%d: need >= 1 leaves, hosts per leaf",
 			s.Leaves, s.Spines, s.HostsPerLeaf)
 	}
-	if err := checkSpines("spines", s.Spines); err != nil {
+	if err := checkRange("spines", s.Spines, 1, topo.MaxSpines); err != nil {
 		return RunConfig{}, err
 	}
-	if s.AsymPct < 0 || s.AsymPct > 100 {
-		return RunConfig{}, fmt.Errorf("asymPct %d: valid range is 0..100", s.AsymPct)
+	if err := checkRange("asymPct", s.AsymPct, 0, 100); err != nil {
+		return RunConfig{}, err
 	}
 	p := fabricParams(s, s.Leaves, s.Spines, s.HostsPerLeaf)
 	if s.AsymPct > 0 {
@@ -185,15 +202,19 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 			return RunConfig{}, fmt.Errorf("fault on link (l%d,s%d) outside the %dx%d fabric",
 				f.Leaf, f.Spine, s.Leaves, s.Spines)
 		}
-		if f.DownAtUs < 0 {
-			return RunConfig{}, fmt.Errorf("fault on link (l%d,s%d) downAtUs %d: need >= 0",
-				f.Leaf, f.Spine, f.DownAtUs)
+		link := fmt.Sprintf("fault on link (l%d,s%d)", f.Leaf, f.Spine)
+		if err := checkRange(link+" downAtUs", f.DownAtUs, 0, maxUs); err != nil {
+			return RunConfig{}, err
+		}
+		// An upAtUs at or below downAtUs never restores, so only the
+		// upper bound applies.
+		if f.UpAtUs > maxUs {
+			return RunConfig{}, fmt.Errorf("%s upAtUs %d: need <= %d", link, f.UpAtUs, maxUs)
 		}
 		// RateDiv 0 or 1 is a kill window; above that the link runs at
 		// LinkRate/RateDiv bit/s, which must stay at least 1.
-		if maxDiv := int64(specRate(s)); f.RateDiv < 0 || int64(f.RateDiv) > maxDiv {
-			return RunConfig{}, fmt.Errorf("fault on link (l%d,s%d) rateDiv %d: valid range is 0..%d",
-				f.Leaf, f.Spine, f.RateDiv, maxDiv)
+		if err := checkRange(link+" rateDiv", f.RateDiv, 0, int(specRate(s))); err != nil {
+			return RunConfig{}, err
 		}
 	}
 
@@ -208,11 +229,11 @@ func compileFabric(s spec.Spec) (RunConfig, error) {
 	}
 
 	if s.IncastDegree >= 2 {
-		if hosts := s.Leaves * s.HostsPerLeaf; s.IncastClient < 0 || s.IncastClient >= hosts {
-			return RunConfig{}, fmt.Errorf("incastClient %d: valid range is 0..%d", s.IncastClient, hosts-1)
+		if err := checkRange("incastClient", s.IncastClient, 0, s.Leaves*s.HostsPerLeaf-1); err != nil {
+			return RunConfig{}, err
 		}
-		if s.IncastAtUs < 0 {
-			return RunConfig{}, fmt.Errorf("incastAtUs %d: need >= 0", s.IncastAtUs)
+		if err := checkRange("incastAtUs", s.IncastAtUs, 0, maxUs); err != nil {
+			return RunConfig{}, err
 		}
 	}
 
@@ -332,7 +353,7 @@ func compileMotivation(s spec.Spec) (RunConfig, error) {
 	if m.Hosts < 1 {
 		return RunConfig{}, fmt.Errorf("motiv %d pairs: need >= 1", m.Hosts)
 	}
-	if err := checkSpines("motiv spines", m.Spines); err != nil {
+	if err := checkRange("motiv spines", m.Spines, 1, topo.MaxSpines); err != nil {
 		return RunConfig{}, err
 	}
 	if m.SprayPaths < 1 {

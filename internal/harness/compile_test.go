@@ -196,17 +196,40 @@ func TestCompileValidation(t *testing.T) {
 		}, "incastClient -1: valid range is 0..3"},
 		{"incast in the past", func(s *spec.Spec) {
 			s.IncastDegree, s.IncastKB, s.IncastAtUs = 2, 40, -5
-		}, "incastAtUs -5: need >= 0"},
+		}, "incastAtUs -5: valid range is 0..9223372036854"},
 		{"fault in the past", func(s *spec.Spec) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: -10, UpAtUs: 20}}
-		}, "fault on link (l0,s1) downAtUs -10: need >= 0"},
+		}, "fault on link (l0,s1) downAtUs -10: valid range is 0..9223372036854"},
 		{"fault rate below 1 bit/s", func(s *spec.Spec) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 10, UpAtUs: 20, RateDiv: 20_000_000_000}}
 		}, "fault on link (l0,s1) rateDiv 20000000000: valid range is 0..10000000000"},
 		{"negative fault rate divisor", func(s *spec.Spec) {
 			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 10, UpAtUs: 20, RateDiv: -4}}
 		}, "fault on link (l0,s1) rateDiv -4: valid range is 0..10000000000"},
-		{"negative link delay", func(s *spec.Spec) { s.LinkDelayNs = -5 }, "linkDelayNs -5: need >= 0"},
+		{"negative link delay", func(s *spec.Spec) { s.LinkDelayNs = -5 }, "linkDelayNs -5: valid range is 0..9223372036854775"},
+		{"frame shorter than 1 ps", func(s *spec.Spec) { s.LinkGbps = 10_000_000_000 }, "linkGbps 10000000000: valid range is 1..512000"},
+		{"link delay past MaxTime", func(s *spec.Spec) {
+			s.LinkDelayNs = 9_300_000_000_000_000
+		}, "linkDelayNs 9300000000000000: valid range is 0..9223372036854775"},
+		{"incast past MaxTime", func(s *spec.Spec) {
+			s.IncastDegree, s.IncastKB, s.IncastAtUs = 2, 40, 9_300_000_000_000
+		}, "incastAtUs 9300000000000: valid range is 0..9223372036854"},
+		{"fault past MaxTime", func(s *spec.Spec) {
+			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 9_300_000_000_000}}
+		}, "fault on link (l0,s1) downAtUs 9300000000000: valid range is 0..9223372036854"},
+		{"restore past MaxTime", func(s *spec.Spec) {
+			s.Faults = []spec.FaultSpec{{Leaf: 0, Spine: 1, DownAtUs: 10, UpAtUs: 9_300_000_000_000}}
+		}, "fault on link (l0,s1) upAtUs 9300000000000: need <= 9223372036854"},
+		{"duration past MaxTime", func(s *spec.Spec) { s.DurationUs = 10_000_000_000_000 }, "durationUs 10000000000000: valid range is 1..9223372036854"},
+		{"drain past MaxTime", func(s *spec.Spec) { s.DrainUs = 9_300_000_000_000 }, "drainUs 9300000000000: valid range is 0..9223372036854"},
+		{"run end past MaxTime", func(s *spec.Spec) {
+			s.DurationUs, s.DrainUs = 9_223_372_036_854, 1
+		}, "durationUs + drainUs 9223372036855: valid range is 1..9223372036854"},
+		{"Δt past MaxTime", func(s *spec.Spec) { s.DeltaTNs = 9_300_000_000_000_000 }, "deltaTNs 9300000000000000: valid range is 0..9223372036854775"},
+		{"negative Δt", func(s *spec.Spec) { s.DeltaTNs = -5 }, "deltaTNs -5: valid range is 0..9223372036854775"},
+		{"sampling past MaxTime", func(s *spec.Spec) {
+			s.Telemetry = &spec.TelemetrySpec{SampleUs: 9_300_000_000_000}
+		}, "telemetry sampleUs 9300000000000: valid range is 1..9223372036854"},
 		{"motiv too many spines", func(s *spec.Spec) {
 			*s = DefaultScale.MotivSpec(1, 2, 2)
 			s.Scheme = "ecmp"

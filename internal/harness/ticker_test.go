@@ -9,8 +9,7 @@ import (
 // collisionSpec is a Hermes+RLB repeated incast at 4x4/4 @ 8 Gb/s whose link
 // delay, 1936 ns, makes a 64 B CNM take exactly Δt = 2 µs from one switch to
 // the next (64 ns to serialize plus the delay). A CNM sent during one round
-// is therefore delivered at the instant of the next round, queued between
-// two predictors' slots, and the ticker must yield to it.
+// is therefore delivered at the instant of the next round.
 func collisionSpec() spec.Spec {
 	return spec.Spec{
 		SimSeed: 1, Leaves: 4, Spines: 4, HostsPerLeaf: 4, LinkGbps: 8, LinkDelayNs: 1936,
@@ -29,20 +28,18 @@ const collisionFingerprint = "flows=32 done=32 sent=6736 rcvd=6736 ooo=1555 paus
 	"|25@14865022538|26@12506872000|27@14745877573|28@14632658764|29@14801552004|30@14818359121|31@14425182614|32@14684307411"
 
 // TestTickerKeepsPerPredictorOrder runs the collision spec through the one
-// ticker and checks it replays the per-predictor-timer run exactly, that it
-// had to yield to get there, that every predictor sampled once per round,
-// and that nothing stays queued once RLB stops. The same spec at the default
-// 2 µs link delay has no CNM landing on a round, so it must never yield.
-// (The fingerprint alone cannot catch a ticker that ignores the order: a
-// batch that samples everything in one event also matches it. The slot
-// property test in internal/sim pins the order.)
+// ticker and checks it replays the per-predictor-timer run exactly, that
+// every predictor sampled once per round, and that nothing stays queued once
+// RLB stops. The same spec at the default 2 µs link delay has no CNM landing
+// on a round. (The fingerprint alone cannot pin the order within an instant:
+// TestTickerRunsAfterEventsQueuedForItsInstant in internal/core does.)
 func TestTickerKeepsPerPredictorOrder(t *testing.T) {
 	plain := collisionSpec()
 	plain.LinkDelayNs = 0
 	for _, c := range []struct {
 		name      string
 		s         spec.Spec
-		wantYield bool
+		wantPrint bool
 	}{
 		{"collision", collisionSpec(), true},
 		{"default delay", plain, false},
@@ -50,16 +47,12 @@ func TestTickerKeepsPerPredictorOrder(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			res := Run(MustCompile(c.s))
 			n := res.Network
-			if c.wantYield {
+			if c.wantPrint {
 				if fp := Fingerprint(res); fp != collisionFingerprint {
 					t.Errorf("fingerprint moved:\n got %s\nwant %s", fp, collisionFingerprint)
 				}
 			}
 			st := n.Ticker.Stats
-			t.Logf("%d rounds, %d yields", st.Rounds, st.Yields)
-			if yielded := st.Yields > 0; yielded != c.wantYield {
-				t.Errorf("ticker yielded %d times in %d rounds; want yields: %v", st.Yields, st.Rounds, c.wantYield)
-			}
 			for i, p := range n.Predictors {
 				if p.Stats.Samples != st.Rounds {
 					t.Errorf("predictor %d sampled %d times in %d rounds", i, p.Stats.Samples, st.Rounds)

@@ -26,17 +26,21 @@ type event struct {
 	seq uint64
 	gen uint64
 
-	// h/arg is the typed fast path; fn is the closure fallback used by the
-	// cold-path At/After API. Exactly one of h and fn is set.
+	// h runs with arg at dispatch; closure events carry an eventFunc.
 	h   Handler
 	arg EventArg
-	fn  func()
 
 	// dead marks a lazily cancelled event: Timer.Stop flips it in O(1) and
 	// the run loop returns the struct to the pool when the scheduler pops
 	// it, instead of paying for an arbitrary-position removal at Stop time.
 	dead bool
 }
+
+// eventFunc adapts a closure to Handler, so closure events ride the typed
+// path. A func value is one pointer word, so boxing it allocates nothing.
+type eventFunc func()
+
+func (f eventFunc) OnEvent(EventArg) { f() }
 
 // Timer is a value handle to a scheduled event. The zero Timer is valid and
 // behaves like an already-stopped one: Stop and Pending report false, When
@@ -93,11 +97,6 @@ type Engine struct {
 	seq     uint64
 	stopped bool
 
-	// cutoff is one past the seq of the event dispatched last while the
-	// clock still stands at its time, and 0 once the clock has moved on: a
-	// slot at the current instant with a seq below cutoff has been passed.
-	cutoff uint64
-
 	// live counts queued events that have not been lazily cancelled; the
 	// scheduler's own length additionally includes dead events awaiting
 	// reclamation.
@@ -150,7 +149,6 @@ func (e *Engine) release(ev *event) {
 	ev.dead = false
 	ev.h = nil
 	ev.arg = EventArg{}
-	ev.fn = nil
 	e.puts++
 	//simlint:allow(hotpath) the free list never outgrows the event pool, and it keeps its capacity
 	e.free = append(e.free, ev)
@@ -164,37 +162,25 @@ func (e *Engine) EventPoolStats() (gets, puts uint64, queued int) {
 	return e.gets, e.puts, e.sched.len()
 }
 
-// schedule inserts an event at absolute time t. Scheduling in the past
-// panics: it would silently reorder causality.
-func (e *Engine) schedule(t Time) *event {
+// Schedule runs h.OnEvent(arg) at absolute virtual time t. This is the
+// allocation-free path: handler and payload are stored in a pooled event.
+// Scheduling in the past panics: it would silently reorder causality.
+func (e *Engine) Schedule(t Time, h Handler, arg EventArg) Timer {
 	if t < e.now {
 		panic("sim: scheduling event in the past")
 	}
-	ev := e.push(t, e.seq)
-	e.seq++
-	return ev
-}
-
-// push queues a pooled event under the key (at, seq).
-func (e *Engine) push(at Time, seq uint64) *event {
 	ev := e.alloc()
-	ev.at = at
-	ev.seq = seq
+	ev.at = t
+	ev.seq = e.seq
+	e.seq++
+	ev.h = h
+	ev.arg = arg
 	if e.cal != nil {
 		e.cal.push(ev, e.now)
 	} else {
 		e.sched.push(ev, e.now)
 	}
 	e.live++
-	return ev
-}
-
-// Schedule runs h.OnEvent(arg) at absolute virtual time t. This is the
-// allocation-free path: handler and payload are stored in a pooled event.
-func (e *Engine) Schedule(t Time, h Handler, arg EventArg) Timer {
-	ev := e.schedule(t)
-	ev.h = h
-	ev.arg = arg
 	return Timer{ev: ev, eng: e, gen: ev.gen}
 }
 
@@ -210,76 +196,12 @@ func (e *Engine) ScheduleAfter(d Time, h Handler, arg EventArg) Timer {
 // cold paths (workload generation, fault injection, tests); hot paths use
 // Schedule, which avoids the closure capture allocation.
 func (e *Engine) At(t Time, fn func()) Timer {
-	ev := e.schedule(t)
-	ev.fn = fn
-	return Timer{ev: ev, eng: e, gen: ev.gen}
+	return e.Schedule(t, eventFunc(fn), EventArg{})
 }
 
 // After schedules fn to run d after the current time.
 func (e *Engine) After(d Time, fn func()) Timer {
-	if d < 0 {
-		panic("sim: negative delay")
-	}
-	return e.At(e.now+d, fn)
-}
-
-// Slot is a reserved place in the event order: a time and a seq taken from
-// the engine's schedule counter, with nothing queued. An event scheduled into
-// the slot later runs exactly where an event scheduled at reservation time
-// would have run, ahead of everything scheduled for the same instant after
-// the reservation.
-type Slot struct {
-	at  Time
-	seq uint64
-}
-
-// Reserve takes the next seq for time t without queuing anything. Reserving
-// in the past panics, like scheduling there.
-func (e *Engine) Reserve(t Time) Slot {
-	if t < e.now {
-		panic("sim: reserving a slot in the past")
-	}
-	s := Slot{at: t, seq: e.seq}
-	e.seq++
-	return s
-}
-
-// ScheduleSlot runs h.OnEvent(arg) at the exact (at, seq) key of slot s. It
-// panics once the run has dispatched past the key, as scheduling in the past
-// does. Scheduling the same slot twice queues two events with one key, and
-// their relative order is unspecified.
-func (e *Engine) ScheduleSlot(s Slot, h Handler, arg EventArg) Timer {
-	if s.at < e.now || s.at == e.now && s.seq < e.cutoff {
-		panic("sim: scheduling into a passed slot")
-	}
-	ev := e.push(s.at, s.seq)
-	ev.h = h
-	ev.arg = arg
-	return Timer{ev: ev, eng: e, gen: ev.gen}
-}
-
-// QueuedBefore reports whether a live event is queued ahead of slot s, which
-// must be at the current instant. Lazily cancelled events found ahead of the
-// slot are reclaimed on the way, as the run loop would reclaim them.
-func (e *Engine) QueuedBefore(s Slot) bool {
-	if s.at != e.now {
-		panic("sim: QueuedBefore needs a slot at the current instant")
-	}
-	for {
-		var ev *event
-		if e.cal != nil {
-			ev = e.cal.peekNow(e.now)
-		} else {
-			ev = e.sched.peekNow(e.now)
-		}
-		if ev == nil || ev.seq >= s.seq {
-			return false
-		}
-		if !ev.dead {
-			return true
-		}
-		e.release(e.sched.popLE(e.now))
-	}
+	return e.ScheduleAfter(d, eventFunc(fn), EventArg{})
 }
 
 // Stop halts the run loop after the currently executing event returns.
@@ -316,24 +238,16 @@ func (e *Engine) RunUntil(limit Time) Time {
 		}
 		e.live--
 		e.now = ev.at
-		e.cutoff = ev.seq + 1
 		// Free the slot before dispatching: the handler may immediately
 		// schedule again and reuse it, and its own Timer handle (now stale by
 		// generation) can no longer cancel the reused slot.
-		h, arg, fn := ev.h, ev.arg, ev.fn
+		h, arg := ev.h, ev.arg
 		e.release(ev)
-		switch {
-		case h != nil:
-			e.Executed++
-			h.OnEvent(arg)
-		case fn != nil:
-			e.Executed++
-			fn()
-		}
+		e.Executed++
+		h.OnEvent(arg)
 	}
 	if !e.stopped && limit != MaxTime && e.now < limit {
 		e.now = limit
-		e.cutoff = 0
 	}
 	return e.now
 }

@@ -74,13 +74,6 @@ func (h *eventHeap) len() int { return len(h.items) }
 
 func (h *eventHeap) push(ev *event, _ Time) { h.items = heapPush(h.items, ev) }
 
-func (h *eventHeap) peekNow(now Time) *event {
-	if len(h.items) == 0 || h.items[0].at != now {
-		return nil
-	}
-	return h.items[0]
-}
-
 func (h *eventHeap) popLE(limit Time) *event {
 	if len(h.items) == 0 || h.items[0].at > limit {
 		return nil

@@ -231,7 +231,8 @@ func (nopHandler) OnEvent(EventArg) {}
 
 // TestEngineDispatchZeroAlloc is the bench-smoke assertion: once the pool is
 // warm, scheduling and dispatching typed events performs zero heap
-// allocations per event.
+// allocations per event, and so does a closure event whose func() is built
+// beforehand (only capturing a fresh closure allocates).
 func TestEngineDispatchZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	var h nopHandler
@@ -247,6 +248,18 @@ func TestEngineDispatchZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("typed schedule+dispatch allocated %.1f objects per op, want 0", allocs)
+	}
+	fired := 0
+	fn := func() { fired++ }
+	allocs = testing.AllocsPerRun(1000, func() {
+		e.After(10, fn)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("closure schedule+dispatch allocated %.1f objects per op, want 0", allocs)
+	}
+	if fired != 1001 {
+		t.Fatalf("closure fired %d times, want 1001", fired)
 	}
 }
 

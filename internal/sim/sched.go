@@ -37,9 +37,6 @@ type scheduler interface {
 	// most limit; it returns nil without dequeuing when the queue is empty
 	// or the earliest event lies beyond limit.
 	popLE(limit Time) *event
-	// peekNow returns the earliest queued event iff it is due at now, the
-	// engine clock; every queued event is due at or after now.
-	peekNow(now Time) *event
 	// len counts queued events, including dead (lazily cancelled) ones that
 	// have not been reclaimed yet.
 	len() int
@@ -190,30 +187,6 @@ func (cq *calendarQueue) popLE(limit Time) *event {
 	}
 	cq.count--
 	return b.pop()
-}
-
-// peekNow looks where an event due at now must sit: past the wheel horizon
-// the wheel is empty (every queued event is due at or after now) and the
-// overflow heap holds the minimum; otherwise it is the head of now's bucket,
-// which covers the one window of the wheel lap that contains now.
-func (cq *calendarQueue) peekNow(now Time) *event {
-	var ev *event
-	if now-cq.start >= cwSpan {
-		if len(cq.overflow) == 0 {
-			return nil
-		}
-		ev = cq.overflow[0]
-	} else {
-		b := &cq.buckets[cq.slot(now)]
-		if len(b.evs) == 0 {
-			return nil
-		}
-		ev = b.evs[b.head]
-	}
-	if ev.at != now {
-		return nil
-	}
-	return ev
 }
 
 // advanceToward moves the cursor to the next non-empty bucket whose window

@@ -99,47 +99,24 @@ func (l *keyLog) OnEvent(arg EventArg) { l.keys = append(l.keys, firing{l.eng.No
 // add schedules one logged event at t.
 func (l *keyLog) add(t Time) Timer { return l.eng.Schedule(t, l, EventArg{U64: l.eng.seq}) }
 
-// slotGroup is a ticker in miniature: slots reserved for one instant, each
-// "sampled" in seq order by one handler that yields, by queuing itself into
-// the next slot, whenever another event is queued ahead of that slot.
-type slotGroup struct {
-	log    *keyLog
-	slots  []Slot
-	next   int
-	yields int
+// echo logs its own key, then queues one more logged event at the current
+// instant, into the bucket being drained.
+type echo struct{ log *keyLog }
+
+func (h echo) OnEvent(arg EventArg) {
+	h.log.OnEvent(arg)
+	h.log.add(h.log.eng.Now())
 }
 
-func (g *slotGroup) OnEvent(EventArg) {
-	e := g.log.eng
-	for i := g.next; i < len(g.slots); i++ {
-		s := g.slots[i]
-		if i > g.next && e.QueuedBefore(s) {
-			g.next = i
-			g.yields++
-			e.ScheduleSlot(s, g, EventArg{})
-			return
-		}
-		g.log.keys = append(g.log.keys, firing{e.Now(), s.seq})
-		// Work a sample triggers at its own instant queues behind every
-		// slot reserved earlier.
-		g.log.add(e.Now())
-	}
-}
-
-// driveSlots runs a seeded workload aimed at the ordered bucket runs and at
-// reserved slots: same-instant clusters of 64 to 96 events, pushes in random
-// order into one bucket ahead of the cursor, slots reserved early and
-// scheduled into later, and slot groups whose events interleave with plain
-// events at the same instant (some lazily cancelled), so the group yields at
-// the current instant. It returns every dispatched key in order and the
-// number of yields.
-func driveSlots(kind SchedulerKind, seed int64) ([]firing, int) {
+// driveClusters runs a seeded workload aimed at the ordered bucket runs:
+// same-instant clusters of 64 to 96 events, pushes in random order into one
+// bucket ahead of the cursor, and same-instant events some of which are
+// lazily cancelled and some of which queue another event at their own
+// instant. It returns every dispatched key in order.
+func driveClusters(kind SchedulerKind, seed int64) []firing {
 	r := rand.New(rand.NewSource(seed))
 	e := NewEngineWith(kind)
 	log := &keyLog{eng: e}
-	var parked []Slot
-	yields := 0
-	var groups []*slotGroup
 	ahead := func() Time {
 		switch r.Intn(4) {
 		case 0:
@@ -153,7 +130,7 @@ func driveSlots(kind SchedulerKind, seed int64) ([]firing, int) {
 		}
 	}
 	for op := 0; op < 600; op++ {
-		switch r.Intn(7) {
+		switch r.Intn(5) {
 		case 0: // same-instant cluster
 			at := e.Now() + ahead()
 			for k := 0; k < 64+r.Intn(33); k++ {
@@ -164,57 +141,40 @@ func driveSlots(kind SchedulerKind, seed int64) ([]firing, int) {
 			for k := 0; k < 8+r.Intn(40); k++ {
 				log.add(base + Time(r.Intn(int(cwWidth))))
 			}
-		case 2: // reserve a slot now, schedule into it later
-			parked = append(parked, e.Reserve(e.Now()+ahead()))
-		case 3: // schedule a parked slot the run has not reached
-			for i, s := range parked {
-				if s.at > e.Now() {
-					e.ScheduleSlot(s, log, EventArg{U64: s.seq})
-					parked = append(parked[:i], parked[i+1:]...)
-					break
-				}
-			}
-		case 4: // slot group interleaved with plain events at its instant
+		case 2: // same-instant events, some cancelled, some echoing
 			at := e.Now() + ahead()
-			g := &slotGroup{log: log}
-			for k := 0; k < 2+r.Intn(6); k++ {
-				g.slots = append(g.slots, e.Reserve(at))
-				for j := r.Intn(3); j > 0; j-- {
-					if tm := log.add(at); r.Intn(3) == 0 {
-						tm.Stop()
-					}
+			for k := 0; k < 2+r.Intn(12); k++ {
+				switch r.Intn(3) {
+				case 0:
+					log.add(at).Stop()
+				case 1:
+					e.Schedule(at, echo{log}, EventArg{U64: e.seq})
+				default:
+					log.add(at)
 				}
 			}
-			e.ScheduleSlot(g.slots[0], g, EventArg{})
-			groups = append(groups, g)
-		case 5:
+		case 3:
 			e.RunUntil(e.Now() + ahead())
-		case 6:
+		case 4:
 			if r.Intn(8) == 0 {
 				e.Run()
 			}
 		}
 	}
 	e.Run()
-	for _, g := range groups {
-		yields += g.yields
-	}
-	return log.keys, yields
+	return log.keys
 }
 
-// TestSchedulerSlotEquivalence extends the equivalence property to the
-// calendar's ordered bucket runs and to reserved slots: both schedulers must
-// dispatch identical (at, seq) sequences, and that sequence must be strictly
-// increasing, since every event pushed or scheduled into a slot keys after
-// the one being dispatched.
-func TestSchedulerSlotEquivalence(t *testing.T) {
-	totalYields := 0
+// TestSchedulerClusterEquivalence extends the equivalence property to the
+// calendar's ordered bucket runs: both schedulers must dispatch identical
+// (at, seq) sequences, and that sequence must be strictly increasing, since
+// every event keys after the one being dispatched when it is pushed.
+func TestSchedulerClusterEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		hLog, hYields := driveSlots(SchedHeap, seed)
-		cLog, cYields := driveSlots(SchedCalendar, seed)
-		if len(hLog) != len(cLog) || hYields != cYields {
-			t.Fatalf("seed %d: heap fired %d keys with %d yields, calendar %d with %d",
-				seed, len(hLog), hYields, len(cLog), cYields)
+		hLog := driveClusters(SchedHeap, seed)
+		cLog := driveClusters(SchedCalendar, seed)
+		if len(hLog) != len(cLog) {
+			t.Fatalf("seed %d: heap fired %d keys, calendar %d", seed, len(hLog), len(cLog))
 		}
 		for i := range hLog {
 			if hLog[i] != cLog[i] {
@@ -227,42 +187,7 @@ func TestSchedulerSlotEquivalence(t *testing.T) {
 				}
 			}
 		}
-		totalYields += cYields
 	}
-	if totalYields == 0 {
-		t.Fatal("no slot group ever yielded; the workload misses the current-instant case")
-	}
-}
-
-// TestScheduleSlotPanicsOncePassed pins the slot contract: scheduling into a
-// slot the run has dispatched past panics, as scheduling in the past does,
-// while a slot still ahead at the current instant is accepted.
-func TestScheduleSlotPanicsOncePassed(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	e := NewEngine()
-	var h nopHandler
-	a, b, c := e.Reserve(10), e.Reserve(10), e.Reserve(10)
-	e.ScheduleSlot(b, handlerFunc(func(EventArg) {
-		mustPanic("earlier slot at the current instant", func() { e.ScheduleSlot(a, h, EventArg{}) })
-		mustPanic("the dispatching slot itself", func() { e.ScheduleSlot(b, h, EventArg{}) })
-		e.ScheduleSlot(c, h, EventArg{}) // still ahead: must not panic
-	}), EventArg{})
-	e.RunUntil(20)
-	if e.Pending() != 0 || e.Now() != 20 {
-		t.Fatalf("Pending = %d, Now = %v after the run", e.Pending(), e.Now())
-	}
-	mustPanic("slot before the clock", func() { e.ScheduleSlot(c, h, EventArg{}) })
-	mustPanic("reserve before the clock", func() { e.Reserve(19) })
-	e.ScheduleSlot(e.Reserve(20), h, EventArg{}) // the clock stands at 20, nothing ran there
-	e.Run()
 }
 
 // TestCalendarFarFutureRollover pins the overflow path directly: events

@@ -3,13 +3,33 @@ package telemetry
 import (
 	"bufio"
 	"io"
+	"os"
 	"strconv"
+	"strings"
 )
 
 // Exporters serialize a Recording. Output is byte-stable: fields are written
 // in a fixed order with strconv (no map iteration, no float formatting), so
 // the same recording always produces the same bytes — the property the
 // telemetry golden test and `make telemetry-verify` pin.
+
+// WriteFile writes the recording to path: wide CSV (WriteCSV) for a .csv
+// suffix, JSON Lines (WriteJSONL) otherwise.
+func WriteFile(path string, rec *Recording) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	write := WriteJSONL
+	if strings.HasSuffix(path, ".csv") {
+		write = WriteCSV
+	}
+	if err := write(f, rec); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // WriteJSONL writes the recording as JSON Lines: one header object
 //

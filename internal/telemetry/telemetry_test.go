@@ -2,6 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -150,6 +153,43 @@ func TestWriteCSV(t *testing.T) {
 	want := "t_ps,a,\"we\"\"ird,name\"\n5,1,-2\n"
 	if b.String() != want {
 		t.Fatalf("CSV mismatch:\ngot:\n%q\nwant:\n%q", b.String(), want)
+	}
+}
+
+// TestWriteFilePicksFormatBySuffix checks that WriteFile writes exactly
+// WriteCSV's bytes for a .csv path and WriteJSONL's for any other.
+func TestWriteFilePicksFormatBySuffix(t *testing.T) {
+	rec := &Recording{
+		Interval: sim.Microsecond,
+		Names:    []string{"a", "b"},
+		Times:    []sim.Time{0, sim.Microsecond},
+		Series:   [][]int64{{1, 2}, {3, 4}},
+		Events:   []Event{{At: 7, Kind: Recirc, Dev: 1}},
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name  string
+		write func(io.Writer, *Recording) error
+	}{
+		{"out.csv", WriteCSV},
+		{"out.jsonl", WriteJSONL},
+		{"out", WriteJSONL},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := WriteFile(path, rec); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := c.write(&want, rec); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s:\ngot:\n%s\nwant:\n%s", c.name, got, want.Bytes())
+		}
 	}
 }
 
